@@ -14,7 +14,7 @@ from .dataio import (
     write_dataset,
 )
 from .embed import ModelDims, ModelState, fuse_item, init_model, load_checkpoint, save_checkpoint
-from .evaluate import RankingReport, auc, evaluate, fltb, fltb_accuracy, rank_outfits, topk_metrics
+from .evaluate import RankingReport, auc, fltb, fltb_accuracy, rank_outfits, topk_metrics
 from .graph import (
     CategoryGraph,
     FashionGraph,

@@ -29,10 +29,9 @@ from .dataio import (
     write_features,
 )
 from .embed import load_checkpoint, save_checkpoint
-from .evaluate import evaluate, fltb_accuracy, format_report, write_report
+from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits, write_report
 from .graph import FashionGraph, build_fashion_graph
 from .propagate import forward
-from .score import rec_score
 from .train import Adam, TrainConfig, TrainingDivergedError, make_model, train_epoch
 
 
@@ -296,13 +295,9 @@ def cmd_recommend(rc: RunConfig, checkpoint: str, user: int, k: int | None) -> i
     model = make_model(graph, ds, rc.train_config())
     load_checkpoint(model, checkpoint)
     prop = forward(graph, ds, model, mode="eval")
-    from .evaluate import rank_outfits
-
-    ranked = rank_outfits(user, prop, graph, splits)
+    _, ranked, scores = next(ranked_outfits([user], prop, graph, splits))
     top_k = k if k is not None else rc.k
-    h_u = prop.h_user_star[graph.user_index[user]]
-    for rank, oid in enumerate(ranked[:top_k], start=1):
-        score = rec_score(h_u, prop.h_outfit_star[graph.outfit_index[oid]])
+    for rank, (oid, score) in enumerate(zip(ranked[:top_k], scores[:top_k]), start=1):
         print(f"{rank}\t{oid}\t{score:.10f}")
     return 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,6 +53,12 @@ class Dataset:
     @property
     def d_t(self) -> int:
         return next(iter(self.items.values())).textual.shape[0]
+
+    @cached_property
+    def item_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``feature_matrices`` of all items in ascending id order, the
+        graph's item order; stacked on first use, then kept."""
+        return feature_matrices(self, sorted(self.items))
 
     def user_interactions(self, user: int) -> list[int]:
         return sorted(o for (u, o) in self.interactions if u == user)
@@ -153,14 +160,10 @@ def read_features(path: str | Path) -> dict[int, np.ndarray]:
     expected = 20 + count * record
     if len(blob) != expected:
         raise DatasetError(f"{path}: truncated ({len(blob)} bytes, expected {expected})")
-    out: dict[int, np.ndarray] = {}
-    offset = 20
-    for _ in range(count):
-        (iid,) = struct.unpack_from("<Q", blob, offset)
-        vec = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset + 8).copy()
-        out[iid] = vec
-        offset += record
-    return out
+    layout = np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
+    records = np.frombuffer(blob, dtype=layout, count=count, offset=20)
+    vectors = records["vec"].copy()  # one allocation; each item's vector is a row
+    return {int(iid): vectors[k] for k, iid in enumerate(records["id"])}
 
 
 def write_features(path: str | Path, features: dict[int, np.ndarray]) -> None:
@@ -461,7 +464,27 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
 
 def feature_matrices(ds: Dataset, item_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack feature vectors and category indices in ``item_ids`` order."""
-    X_v = np.stack([ds.items[i].visual for i in item_ids])
-    X_t = np.stack([ds.items[i].textual for i in item_ids])
+    X_v = _stack([ds.items[i].visual for i in item_ids])
+    X_t = _stack([ds.items[i].textual for i in item_ids])
     cats = np.array([ds.items[i].category for i in item_ids], dtype=np.int64)
     return X_v, X_t, cats
+
+
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(rows)``, or, when the rows already are the rows of one
+    matrix in order (as ``read_features`` leaves a sorted file), that matrix
+    itself, so the features are not held twice."""
+    base = rows[0].base if rows else None
+    if (
+        isinstance(base, np.ndarray)
+        and base.flags.c_contiguous
+        and base.shape == (len(rows), *rows[0].shape)
+        and all(
+            r.base is base
+            and r.strides == base.strides[1:]
+            and r.ctypes.data == base.ctypes.data + k * base.strides[0]
+            for k, r in enumerate(rows)
+        )
+    ):
+        return base
+    return np.stack(rows)

@@ -3,16 +3,16 @@
 Per user, every outfit outside the train/validation sets is ranked by the
 preference score (full ranking, no sampled candidate subset); HR, Recall,
 Precision, and NDCG are computed at k and averaged over users with at
-least one relevant outfit.  Compatibility is measured by AUC of stored
-outfits against category-template negatives and by fill-in-the-blank
-accuracy: one outfit item is masked and the model must pick it from four
-candidates by compatibility score.
+least one relevant outfit; scores come in user x outfit blocks of
+``RANK_BLOCK`` users.  Compatibility is measured by AUC of stored outfits
+against category-template negatives and by fill-in-the-blank accuracy: one
+outfit item is masked and the model must pick it from four candidates by
+compatibility score.  Item lists are drawn first, then scored in batches.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +23,12 @@ from .embed import ModelState
 from .graph import FashionGraph
 from .propagate import PropagationOutput, forward
 from .rng import substream
-from .score import order_candidates, rec_score, score_items, score_outfit
-from .train import category_template_negative
+from .score import score_item_lists, score_items  # noqa: F401 (perfbench reads E.score_items)
+from .train import category_pools, category_template_negative
+
+# Users per score block.  Fixed, whatever ``threads`` is: BLAS may round a
+# row differently in a block of another shape, and the report must not move.
+RANK_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -73,35 +77,39 @@ def topk_metrics(ranked, relevants, k: int) -> tuple[float, float, float, float]
 def auc(pos_scores, neg_scores) -> float:
     """Probability a positive outscores a negative; ties count one half."""
     pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
+    neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both score sets must be nonempty")
-    scores = np.concatenate([pos, neg])
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum = ranks[: pos.size].sum()
-    m, n = pos.size, neg.size
-    return float((rank_sum - m * (m + 1) / 2.0) / (m * n))
+    below, not_above = (np.searchsorted(neg, pos, side=s) for s in ("left", "right"))
+    # (below + not_above) / 2 = wins + ties / 2, the Mann-Whitney U, exact in float64
+    return float((below + not_above).sum() / 2.0 / (pos.size * neg.size))
 
 
-def _candidate_scores(
-    user: int, prop: PropagationOutput, graph: FashionGraph, excluded: set[int]
-) -> dict[int, float]:
-    u_idx = graph.user_index[user]
-    h_u = prop.h_user_star[u_idx]
-    return {
-        int(o): rec_score(h_u, prop.h_outfit_star[graph.outfit_index[int(o)]])
-        for o in graph.outfit_ids
-        if int(o) not in excluded
-    }
+def ranked_outfits(
+    users, prop: PropagationOutput, graph: FashionGraph, split: Splits, exclude_val: bool = True
+):
+    """Yield (user, outfit ids best first, their scores) per user, in user
+    order, over the outfits outside train (and val, with ``exclude_val``).
+
+    Scores are the user's row of its fixed RANK_BLOCK-user block of
+    h_user_star @ h_outfit_star.T; the stable sort over ascending ids sends
+    ties to the lower id, as ``order_candidates`` does.
+    """
+    outfit_ids = graph.outfit_ids.astype(np.int64)
+    parts = (split.train, split.val) if exclude_val else (split.train,)
+    block_start, block = -1, None
+    for row in sorted(graph.user_index[u] for u in users):
+        start = row - row % RANK_BLOCK
+        if start != block_start:
+            block_start = start
+            block = prop.h_user_star[start : start + RANK_BLOCK] @ prop.h_outfit_star.T
+        user = int(graph.user_ids[row])
+        keep = np.ones(len(outfit_ids), dtype=bool)
+        keep[[graph.outfit_index[o] for part in parts for o in part.get(user, ())]] = False
+        candidates = np.flatnonzero(keep)
+        scores = block[row - start, candidates]
+        order = np.argsort(-scores, kind="stable")
+        yield user, outfit_ids[candidates[order]], scores[order]
 
 
 def rank_outfits(
@@ -111,9 +119,20 @@ def rank_outfits(
     ties broken by ascending outfit id."""
     if user not in graph.user_index:
         raise KeyError(f"unknown user {user}")
-    excluded = set(split.train.get(user, frozenset())) | set(split.val.get(user, frozenset()))
-    scores = _candidate_scores(user, prop, graph, excluded)
-    return order_candidates(scores.keys(), scores)
+    _, ranked, _ = next(ranked_outfits([user], prop, graph, split))
+    return ranked.tolist()
+
+
+def _substituted(outfit_id: int, masked_index: int, candidates, graph: FashionGraph):
+    """The outfit's item list with each candidate in turn at ``masked_index``."""
+    members = graph.outfit_items.get(outfit_id)
+    if members is None:
+        raise KeyError(f"unknown outfit id {outfit_id}")
+    if len(members) < 2:
+        raise ValueError(f"outfit {outfit_id} has fewer than 2 items")
+    if not 0 <= masked_index < len(members):
+        raise ValueError(f"masked index {masked_index} out of range")
+    return [[*members[:masked_index], c, *members[masked_index + 1 :]] for c in candidates]
 
 
 def fltb(
@@ -129,38 +148,31 @@ def fltb(
     Returns (chosen slot, chosen is the true item); ties resolve to the
     lowest slot.
     """
-    members = prop.graph.outfit_items.get(outfit_id)
-    if members is None:
-        raise KeyError(f"unknown outfit id {outfit_id}")
-    if len(members) < 2:
-        raise ValueError(f"outfit {outfit_id} has fewer than 2 items")
-    if not 0 <= masked_index < len(members):
-        raise ValueError(f"masked index {masked_index} out of range")
-    scores = []
-    for candidate in candidates:
-        items = list(members)
-        items[masked_index] = candidate
-        scores.append(score_items(items, prop, m))
-    chosen = int(np.argmax(scores))  # argmax takes the first maximum
+    lists = _substituted(outfit_id, masked_index, candidates, prop.graph)
+    chosen = int(np.argmax(score_item_lists(lists, prop, m)))  # the first maximum
     return chosen, candidates[chosen] == true_item
 
 
 def _fltb_candidates(
-    ds: Dataset, split: Splits, outfit_id: int, masked_index: int, rng: np.random.Generator
+    ds: Dataset,
+    pool: list[int],
+    pool_by_category: dict[int, np.ndarray],
+    outfit_id: int,
+    masked_index: int,
+    rng: np.random.Generator,
 ) -> tuple[list[int], int]:
     """True item plus three distractors in shuffled order.
 
-    Distractors come from the negative pool, category-matched to the masked
-    item when enough such items exist, then the rest of the pool, then any
-    item outside the outfit.
+    Distractors come from the sorted negative pool, category-matched to the
+    masked item when enough such items exist, then the rest of the pool,
+    then any item outside the outfit.
     """
     members = ds.outfits[outfit_id]
     true_item = members[masked_index]
-    category = ds.items[true_item].category
-    pool = sorted(split.compat_negative_pool - {true_item})
-    same_cat = [i for i in pool if ds.items[i].category == category]
     chosen: list[int] = []
-    for source in (same_cat, pool, sorted(set(ds.items) - set(members))):
+    for source in (pool_by_category.get(ds.items[true_item].category, ()), pool, None):
+        if source is None:  # built only when the pool falls short
+            source = sorted(set(ds.items) - set(members))
         options = [i for i in source if i not in chosen and i != true_item]
         while options and len(chosen) < 3:
             pick = int(rng.choice(options))
@@ -190,39 +202,43 @@ def fltb_accuracy(
     outfit_ids=None,
     trials_per_outfit: int = 1,
 ) -> tuple[float, int]:
-    """Mean FLTB correctness over the test outfits."""
+    """Mean FLTB correctness over the test outfits, scored in one batch."""
     outfit_ids = fltb_test_outfits(ds, split) if outfit_ids is None else list(outfit_ids)
-    correct = 0
-    total = 0
+    pool = sorted(split.compat_negative_pool)
+    pool_by_category = category_pools(ds, pool)
+    lists, trials = [], []
     for oid in outfit_ids:
         for trial in range(trials_per_outfit):
             rng = substream(seed, "fltb", oid, trial)
             masked_index = int(rng.integers(len(ds.outfits[oid])))
-            candidates, true_item = _fltb_candidates(ds, split, oid, masked_index, rng)
-            _, ok = fltb(oid, masked_index, candidates, true_item, prop, m)
-            correct += int(ok)
-            total += 1
-    return (correct / total if total else 0.0), total
+            candidates, true_item = _fltb_candidates(
+                ds, pool, pool_by_category, oid, masked_index, rng
+            )
+            lists += _substituted(oid, masked_index, candidates, prop.graph)
+            trials.append(candidates.index(true_item))
+    if not trials:
+        return 0.0, 0
+    # argmax takes the first maximum per row, so ties go to the lowest slot.
+    chosen = score_item_lists(lists, prop, m).reshape(len(trials), 4).argmax(axis=1)
+    return int(np.count_nonzero(chosen == np.array(trials))) / len(trials), len(trials)
 
 
 def compat_auc(
     ds: Dataset, prop: PropagationOutput, m: ModelState, seed: int
 ) -> float | None:
     """AUC of stored-outfit scores against category-template negatives."""
-    by_category: dict[int, list[int]] = {}
-    for iid in sorted(ds.items):
-        by_category.setdefault(ds.items[iid].category, []).append(iid)
+    by_category = category_pools(ds, ds.items)
     outfit_sets = {frozenset(v) for v in ds.outfits.values()}
-    pos, neg = [], []
-    for oid in sorted(ds.outfits):
-        pos.append(score_outfit(oid, prop, m))
-        rng = substream(seed, "auc", oid)
-        negative = category_template_negative(ds, oid, by_category, outfit_sets, rng)
-        if negative is not None:
-            neg.append(score_items(negative, prop, m))
-    if not neg:
+    outfit_ids = sorted(ds.outfits)
+    drawn = [
+        category_template_negative(ds, oid, by_category, outfit_sets, substream(seed, "auc", oid))
+        for oid in outfit_ids
+    ]
+    negatives = [n for n in drawn if n is not None]
+    if not negatives:
         return None
-    return auc(pos, neg)
+    pos = score_item_lists([prop.graph.outfit_items[o] for o in outfit_ids], prop, m)
+    return auc(pos, score_item_lists(negatives, prop, m))
 
 
 def evaluate(
@@ -240,34 +256,19 @@ def evaluate(
     """Aggregate all metrics over evaluable users; deterministic under seed.
 
     ``on='val'`` ranks validation outfits against everything outside the
-    train set.  Per-user work is read-only, so ``threads`` only changes
-    wall time, never the report.
+    train set.  ``threads`` is kept for compatibility (``--threads`` and
+    criterion 7 pass it) and no longer changes anything.
     """
     if on not in ("test", "val"):
         raise ValueError(f"unknown split part {on!r}")
     if prop is None:
         prop = forward(graph, ds, m, mode="eval")
     relevant_map = split.test if on == "test" else split.val
-
-    def user_row(user: int) -> UserMetrics | None:
-        relevants = relevant_map.get(user, frozenset())
-        if not relevants:
-            return None
-        excluded = set(split.train.get(user, frozenset()))
-        if on == "test":
-            excluded |= set(split.val.get(user, frozenset()))
-        scores = _candidate_scores(user, prop, graph, excluded)
-        ranked = order_candidates(scores.keys(), scores)
-        hr, recall, precision, ndcg = topk_metrics(ranked, relevants, k)
-        return UserMetrics(user=user, hr=hr, recall=recall, precision=precision, ndcg=ndcg)
-
-    users = sorted(int(u) for u in graph.user_ids)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(user_row, users))
-    else:
-        rows = [user_row(u) for u in users]
-    kept = [r for r in rows if r is not None]
+    users = [int(u) for u in graph.user_ids if relevant_map.get(int(u))]
+    kept = []
+    for user, ranked, _ in ranked_outfits(users, prop, graph, split, exclude_val=on == "test"):
+        hr, recall, precision, ndcg = topk_metrics(ranked[:k].tolist(), relevant_map[user], k)
+        kept.append(UserMetrics(user=user, hr=hr, recall=recall, precision=precision, ndcg=ndcg))
 
     auc_value = fltb_value = None
     n_trials = 0
@@ -288,7 +289,7 @@ def evaluate(
         auc=auc_value,
         fltb_accuracy=fltb_value,
         n_users_evaluated=len(kept),
-        n_users_skipped=len(rows) - len(kept),
+        n_users_skipped=graph.n_users - len(kept),
         n_fltb_trials=n_trials,
         per_user=tuple(kept),
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import Dataset, feature_matrices
+from .dataio import Dataset
 from .embed import LEVELS, ModelState, fuse_items_tensor
 from .graph import FashionGraph, ItemItemEdges
 
@@ -246,7 +246,7 @@ def forward_tensors(
     if training and (p_embed > 0 or p_attn > 0) and rng is None:
         raise ValueError("training mode with dropout needs an RNG")
 
-    X_v, X_t, cats = feature_matrices(ds, [int(i) for i in graph.item_ids])
+    X_v, X_t, cats = ds.item_features  # rows in graph.item_ids order
     h_item = fuse_items_tensor(m, X_v, X_t, cats)
     h_outfit = m.params["outfit_table"]
     h_user = m.params["user_table"]

@@ -54,20 +54,20 @@ def rec_score(h_user_star: np.ndarray, h_outfit_star: np.ndarray) -> float:
     return float(u @ o)
 
 
-def _check_outfit_matrix(O: OutfitMatrix | np.ndarray, m: ModelState) -> np.ndarray:
+def _outfit_maps(O: OutfitMatrix | np.ndarray, m: ModelState) -> tuple[np.ndarray, np.ndarray]:
+    """(A, C) of one outfit matrix, each (R, n), from the batched kernel."""
     values = O.values if isinstance(O, OutfitMatrix) else np.asarray(O)
     if values.ndim != 2 or values.shape[1] != m.dims.d:
         raise ValueError(f"outfit matrix must be (n, {m.dims.d}), got {values.shape}")
-    return values
+    no_padding = np.zeros((1, 1, len(values)), dtype=m.dtype)
+    with ad.no_grad():
+        A, C = _rview_maps(m, Tensor(values.T[None]), no_padding)
+    return A.data[0], C.data[0]
 
 
 def rview_attention(O: OutfitMatrix | np.ndarray, m: ModelState) -> np.ndarray:
     """Per-view item importance, rows summing to 1."""
-    values = _check_outfit_matrix(O, m)
-    hidden = _leaky(m.params["view_attn_in"].data @ values.T, m.dims.leaky_slope)
-    logits = m.params["view_attn_out"].data @ hidden  # (R, n)
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    return _outfit_maps(O, m)[0]
 
 
 def rview_compat(O: OutfitMatrix | np.ndarray, m: ModelState) -> np.ndarray:
@@ -76,14 +76,7 @@ def rview_compat(O: OutfitMatrix | np.ndarray, m: ModelState) -> np.ndarray:
     Entries lie in (-1, 1) mathematically; in floating point tanh saturates
     to exactly 1.0 once its argument exceeds ~19.
     """
-    values = _check_outfit_matrix(O, m)
-    hidden = _leaky(m.params["view_compat_in"].data @ values.T, m.dims.leaky_slope)
-    pre = m.params["view_compat_out"].data @ hidden
-    return pre if m.dims.linear_compat else np.tanh(pre)
-
-
-def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x >= 0, x, slope * x)
+    return _outfit_maps(O, m)[1]
 
 
 def view_scores(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -101,16 +94,22 @@ def outfit_compat_score(A: np.ndarray, C: np.ndarray) -> float:
 
 
 def rview_result(O: OutfitMatrix | np.ndarray, m: ModelState) -> RViewResult:
-    A = rview_attention(O, m)
-    C = rview_compat(O, m)
+    A, C = _outfit_maps(O, m)
     return RViewResult(attention=A, compatibility=C, score=outfit_compat_score(A, C))
+
+
+def score_item_lists(item_lists, prop: PropagationOutput, m: ModelState) -> np.ndarray:
+    """Compatibility scores of many item combinations: one tape-free
+    ``rview_scores_tensor`` pass over the updated item rows."""
+    index = prop.graph.item_index
+    rows = [np.array([index[i] for i in items], dtype=np.int64) for items in item_lists]
+    with ad.no_grad():
+        return rview_scores_tensor(m, Tensor(prop.h_item_star), rows).data
 
 
 def score_items(item_ids, prop: PropagationOutput, m: ModelState) -> float:
     """Compatibility score of an arbitrary item combination."""
-    index = prop.graph.item_index
-    rows = np.array([index[i] for i in item_ids], dtype=np.int64)
-    return rview_result(OutfitMatrix(prop.h_item_star[rows]), m).score
+    return float(score_item_lists([item_ids], prop, m)[0])
 
 
 def score_outfit(outfit_id: int, prop: PropagationOutput, m: ModelState) -> float:
@@ -129,18 +128,20 @@ def rview_scores_tensor(m: ModelState, h_items: Tensor, item_rows: list[np.ndarr
     """
     if not item_rows:
         raise ValueError("empty batch")
-    B = len(item_rows)
-    n_max = max(len(r) for r in item_rows)
-    R = m.dims.r_views
-    idx = np.zeros((B, n_max), dtype=np.int64)
-    pad_bias = np.zeros((B, 1, n_max), dtype=m.dtype)
-    for b, rows in enumerate(item_rows):
-        rows = np.asarray(rows, dtype=np.int64)
-        idx[b, : len(rows)] = rows
-        pad_bias[b, 0, len(rows) :] = PAD_LOGIT
-    O = ad.reshape(ad.gather(h_items, idx.ravel(), axis=0), (B, n_max, m.dims.d))
-    O_T = ad.transpose(O, (0, 2, 1))  # (B, d, n_max)
+    lengths = np.array([len(r) for r in item_rows])
+    present = np.arange(lengths.max()) < lengths[:, None]  # (B, n_max)
+    idx = np.zeros(present.shape, dtype=np.int64)
+    idx[present] = np.concatenate(item_rows)
+    pad_bias = np.where(present, 0.0, PAD_LOGIT).astype(m.dtype)[:, None, :]
+    O = ad.reshape(ad.gather(h_items, idx.ravel(), axis=0), (*present.shape, m.dims.d))
+    A, C = _rview_maps(m, ad.transpose(O, (0, 2, 1)), pad_bias)
+    return ad.sum_(A * C, axis=(1, 2)) / float(m.dims.r_views)
 
+
+def _rview_maps(m: ModelState, O_T: Tensor, pad_bias: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Attention A and compatibility C, each (B, R, n), of the transposed
+    outfit matrices ``O_T`` (B, d, n); ``pad_bias`` (B, 1, n) is 0 on items
+    and PAD_LOGIT on padding."""
     slope = m.dims.leaky_slope
     att_hidden = ad.leaky_relu(ad.matmul(m.params["view_attn_in"], O_T), slope)
     logits = ad.matmul(m.params["view_attn_out"], att_hidden) + Tensor(pad_bias)
@@ -150,9 +151,7 @@ def rview_scores_tensor(m: ModelState, h_items: Tensor, item_rows: list[np.ndarr
 
     comp_hidden = ad.leaky_relu(ad.matmul(m.params["view_compat_in"], O_T), slope)
     pre = ad.matmul(m.params["view_compat_out"], comp_hidden)
-    C = pre if m.dims.linear_compat else ad.tanh(pre)
-
-    return ad.sum_(A * C, axis=(1, 2)) / float(R)
+    return A, (pre if m.dims.linear_compat else ad.tanh(pre))
 
 
 def order_candidates(candidate_ids, scores: dict[int, float]) -> list[int]:

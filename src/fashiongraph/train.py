@@ -139,27 +139,32 @@ def bpr_comp_loss(score_pos, score_neg):
 # negative sampling
 
 
+def category_pools(ds: Dataset, item_ids) -> dict[int, np.ndarray]:
+    """The ``item_ids`` of each category, ascending, as int64 arrays."""
+    pools: dict[int, list[int]] = {}
+    for iid in sorted(item_ids):
+        pools.setdefault(ds.items[iid].category, []).append(iid)
+    return {cat: np.array(ids, dtype=np.int64) for cat, ids in pools.items()}
+
+
 def category_template_negative(
     ds: Dataset,
     outfit_id: int,
-    by_category: dict[int, list[int]],
+    by_category: dict[int, np.ndarray],
     outfit_sets: set[frozenset[int]],
     rng: np.random.Generator,
     bound: int = 100,
 ) -> tuple[int, ...] | None:
     """Sample an item list matching the outfit's category multiset.
 
-    Each slot draws uniformly from the items of the same category (falling
-    back to the whole item universe if a category is empty).  Retries until
-    the result is not an existing outfit and has no duplicate items; gives
-    up after ``bound`` attempts.
+    Each slot draws uniformly from ``by_category`` (``category_pools``) for
+    its item's category, a pool that holds at least that item.  Retries
+    until the result is not an existing outfit and has no duplicate items;
+    gives up after ``bound`` attempts.
     """
     template = [ds.items[i].category for i in ds.outfits[outfit_id]]
-    all_items = sorted(ds.items)
     for _ in range(bound):
-        candidate = tuple(
-            int(rng.choice(by_category.get(cat) or all_items)) for cat in template
-        )
+        candidate = tuple(int(rng.choice(by_category[cat])) for cat in template)
         if len(set(candidate)) != len(candidate):
             continue
         if frozenset(candidate) not in outfit_sets:
@@ -183,9 +188,7 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
         rec_pos.append(o)
         rec_neg.append(int(candidates[rng.integers(len(candidates))]))
 
-    by_category: dict[int, list[int]] = {}
-    for iid in sorted(ds.items):
-        by_category.setdefault(ds.items[iid].category, []).append(iid)
+    by_category = category_pools(ds, ds.items)
     outfit_sets = {frozenset(m) for m in ds.outfits.values()}
     comp_pos, comp_neg = [], []
     for o in sorted(ds.outfits):
