@@ -58,14 +58,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self, grad=None):
         """Accumulate gradients of this tensor w.r.t. all graph leaves."""
@@ -232,9 +226,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul operands must be at least 2-D")
 
     def backward(g):
-        ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        gb = np.matmul(a.data.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        # A constant operand (a feature matrix, say) gets no gradient.
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+        return ga, gb
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
@@ -278,14 +276,19 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make(a.data[index], (a,), backward)
 
 
+def _scatter_add(out: np.ndarray, idx, values: np.ndarray, axis: int) -> np.ndarray:
+    """Add slice ``k`` of ``values`` along ``axis`` into slice ``idx[k]`` of
+    ``out``; repeated indices accumulate.  Returns ``out``."""
+    np.add.at(np.moveaxis(out, axis, 0), idx, np.moveaxis(values, axis, 0))
+    return out
+
+
 def gather(a: Tensor, idx, axis: int = 0) -> Tensor:
     """Select slices ``idx`` along ``axis`` (gradient scatter-adds back)."""
     idx = np.asarray(idx)
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(buf, axis, 0), idx, np.moveaxis(g, axis, 0))
-        return (buf,)
+        return (_scatter_add(np.zeros_like(a.data), idx, g, axis),)
 
     return _make(np.take(a.data, idx, axis=axis), (a,), backward)
 
@@ -295,8 +298,7 @@ def segment_sum(a: Tensor, segments, num_segments: int, axis: int = 0) -> Tensor
     segments = np.asarray(segments)
     shape = list(a.data.shape)
     shape[axis] = num_segments
-    out = np.zeros(shape, dtype=a.data.dtype)
-    np.add.at(np.moveaxis(out, axis, 0), segments, np.moveaxis(a.data, axis, 0))
+    out = _scatter_add(np.zeros(shape, dtype=a.data.dtype), segments, a.data, axis)
 
     def backward(g):
         return (np.take(g, segments, axis=axis),)

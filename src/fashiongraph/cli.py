@@ -28,7 +28,7 @@ from .dataio import (
     split_interactions,
     write_features,
 )
-from .embed import load_checkpoint, save_checkpoint
+from .embed import ModelState, load_checkpoint, save_checkpoint
 from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits, write_report
 from .graph import FashionGraph, build_fashion_graph
 from .propagate import forward
@@ -78,23 +78,8 @@ class RunConfig:
     dtype: str = "float64"
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            d=self.d,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            dropout_embed=self.dropout_embed,
-            dropout_attn=self.dropout_attn,
-            l2=self.l2,
-            heads=self.heads,
-            r_views=self.r_views,
-            epochs=self.epochs,
-            seed=self.seed,
-            lambda_rec=self.lambda_rec,
-            lambda_comp=self.lambda_comp,
-            d_h=self.d_h,
-            view_hidden=self.view_hidden,
-            dtype=self.dtype,
-        )
+        """The training keys of this config; each ``TrainConfig`` field is one."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def synthetic_config(self) -> SyntheticConfig:
         return SyntheticConfig(
@@ -185,6 +170,16 @@ def prepare(rc: RunConfig) -> tuple[Dataset, Splits, FashionGraph]:
     return ds, splits, graph
 
 
+def load_model(
+    rc: RunConfig, checkpoint: str
+) -> tuple[Dataset, Splits, FashionGraph, ModelState]:
+    """``prepare`` plus the model of ``rc`` with the checkpoint's parameters."""
+    ds, splits, graph = prepare(rc)
+    model = make_model(graph, ds, rc.train_config())
+    load_checkpoint(model, checkpoint)
+    return ds, splits, graph, model
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -251,7 +246,7 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
                 f"{val.hr:.10f},{val.ndcg:.10f}\n"
             )
             hr32 = np.float32(val.hr)
-            if hr32 > best_hr:
+            if hr32 >= best_hr:  # ties go to the later, longer-trained epoch
                 best_hr = hr32
                 best_epoch = epoch
                 save_checkpoint(
@@ -275,9 +270,7 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
 
 def cmd_evaluate(rc: RunConfig, checkpoint: str, out: str | None, per_user: bool,
                  threads: int) -> int:
-    ds, splits, graph = prepare(rc)
-    model = make_model(graph, ds, rc.train_config())
-    load_checkpoint(model, checkpoint)
+    ds, splits, graph, model = load_model(rc, checkpoint)
     report = evaluate(
         model, graph, ds, splits, seed=rc.seed, k=rc.k, on="test", threads=threads
     )
@@ -289,11 +282,9 @@ def cmd_evaluate(rc: RunConfig, checkpoint: str, out: str | None, per_user: bool
 
 
 def cmd_recommend(rc: RunConfig, checkpoint: str, user: int, k: int | None) -> int:
-    ds, splits, graph = prepare(rc)
+    ds, splits, graph, model = load_model(rc, checkpoint)
     if user not in graph.user_index:
         raise KeyError(f"unknown user id {user}")
-    model = make_model(graph, ds, rc.train_config())
-    load_checkpoint(model, checkpoint)
     prop = forward(graph, ds, model, mode="eval")
     _, ranked, scores = next(ranked_outfits([user], prop, graph, splits))
     top_k = k if k is not None else rc.k
@@ -303,9 +294,7 @@ def cmd_recommend(rc: RunConfig, checkpoint: str, user: int, k: int | None) -> i
 
 
 def cmd_fltb(rc: RunConfig, checkpoint: str, trials: int) -> int:
-    ds, splits, graph = prepare(rc)
-    model = make_model(graph, ds, rc.train_config())
-    load_checkpoint(model, checkpoint)
+    ds, splits, graph, model = load_model(rc, checkpoint)
     prop = forward(graph, ds, model, mode="eval")
     accuracy, n = fltb_accuracy(
         ds, splits, prop, model, seed=rc.seed, trials_per_outfit=trials
@@ -316,9 +305,7 @@ def cmd_fltb(rc: RunConfig, checkpoint: str, trials: int) -> int:
 
 
 def cmd_export_embeddings(rc: RunConfig, checkpoint: str, which: str, out: str) -> int:
-    ds, splits, graph = prepare(rc)
-    model = make_model(graph, ds, rc.train_config())
-    load_checkpoint(model, checkpoint)
+    ds, splits, graph, model = load_model(rc, checkpoint)
     prop = forward(graph, ds, model, mode="eval")
     table = {
         "users": (graph.user_ids, prop.h_user_star),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -59,9 +59,6 @@ class Dataset:
         """``feature_matrices`` of all items in ascending id order, the
         graph's item order; stacked on first use, then kept."""
         return feature_matrices(self, sorted(self.items))
-
-    def user_interactions(self, user: int) -> list[int]:
-        return sorted(o for (u, o) in self.interactions if u == user)
 
 
 @dataclass(frozen=True)

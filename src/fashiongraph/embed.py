@@ -14,7 +14,7 @@ and a row-major little-endian f32 payload.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -189,11 +189,8 @@ class ItemEmbedding:
     fused: np.ndarray  # (d,), the item's initial embedding
 
 
-def fuse_items_tensor(m: ModelState, X_v, X_t, categories=None) -> Tensor:
-    """Fused embeddings for a batch of items; differentiable.
-
-    ``X_v``: (n, d_v), ``X_t``: (n, d_t); returns (n, d).
-    """
+def _fuse(m: ModelState, X_v, X_t, categories) -> tuple[Tensor, Tensor, Tensor]:
+    """(reduced visual, reduced textual, fused) of a batch of items."""
     slope = m.dims.leaky_slope
     X_v = Tensor(np.ascontiguousarray(X_v, dtype=m.dtype))
     X_t = Tensor(np.ascontiguousarray(X_t, dtype=m.dtype))
@@ -215,44 +212,26 @@ def fuse_items_tensor(m: ModelState, X_v, X_t, categories=None) -> Tensor:
         e_v = ad.reshape(ad.matmul(W, ad.reshape(e_v, (*e_v.shape, 1))), e_v.shape) + b
     e_t = ad.matmul(X_t, ad.transpose(m.params["textual_w"], (1, 0))) + m.params["textual_b"]
     both = ad.concat([e_v, e_t], axis=1)
-    return ad.matmul(both, ad.transpose(m.params["fusion_w"], (1, 0))) + m.params["fusion_b"]
+    fused = ad.matmul(both, ad.transpose(m.params["fusion_w"], (1, 0))) + m.params["fusion_b"]
+    return e_v, e_t, fused
+
+
+def fuse_items_tensor(m: ModelState, X_v, X_t, categories=None) -> Tensor:
+    """Fused embeddings for a batch of items; differentiable.
+
+    ``X_v``: (n, d_v), ``X_t``: (n, d_t); returns (n, d).
+    """
+    return _fuse(m, X_v, X_t, categories)[2]
 
 
 def fuse_item(x_v, x_t, m: ModelState, category: int | None = None) -> ItemEmbedding:
     """Fuse one item's visual/textual features into its initial embedding."""
-    x_v = np.asarray(x_v, dtype=m.dtype)
-    x_t = np.asarray(x_t, dtype=m.dtype)
-    if x_v.shape != (m.dims.d_v,) or x_t.shape != (m.dims.d_t,):
-        raise ValueError(
-            f"feature dims {x_v.shape}/{x_t.shape} do not match model "
-            f"dims ({m.dims.d_v},)/({m.dims.d_t},)"
-        )
+    x_v, x_t = np.asarray(x_v), np.asarray(x_t)
+    if x_v.ndim != 1 or x_t.ndim != 1:
+        raise ValueError(f"feature vectors must be 1-D, got {x_v.shape}/{x_t.shape}")
     cats = None if category is None else np.array([category])
     with ad.no_grad():
-        slope = m.dims.leaky_slope
-        hidden = ad.leaky_relu(
-            ad.matmul(Tensor(x_v[None, :]), ad.transpose(m.params["visual_w1"], (1, 0)))
-            + m.params["visual_b1"],
-            slope,
-        )
-        e_v = (
-            ad.matmul(hidden, ad.transpose(m.params["visual_w2"], (1, 0)))
-            + m.params["visual_b2"]
-        )
-        if m.dims.per_category_visual:
-            if cats is None:
-                raise ValueError("per-category fusion needs the item category")
-            W = ad.gather(m.params["visual_cat_w"], cats, axis=0)
-            b = ad.gather(m.params["visual_cat_b"], cats, axis=0)
-            e_v = ad.reshape(ad.matmul(W, ad.reshape(e_v, (*e_v.shape, 1))), e_v.shape) + b
-        e_t = (
-            ad.matmul(Tensor(x_t[None, :]), ad.transpose(m.params["textual_w"], (1, 0)))
-            + m.params["textual_b"]
-        )
-        fused = (
-            ad.matmul(ad.concat([e_v, e_t], axis=1), ad.transpose(m.params["fusion_w"], (1, 0)))
-            + m.params["fusion_b"]
-        )
+        e_v, e_t, fused = _fuse(m, x_v[None, :], x_t[None, :], cats)
     return ItemEmbedding(
         reduced_visual=e_v.data[0].copy(),
         reduced_textual=e_t.data[0].copy(),

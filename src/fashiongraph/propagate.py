@@ -49,16 +49,10 @@ class PropagationOutput:
 class ForwardTensors:
     """Differentiable forward-pass results (used by the training loss)."""
 
-    h_item: Tensor
     h_item_star: Tensor
     h_outfit_star: Tensor
     h_user_star: Tensor
     attention: dict[str, Tensor]
-    edge_index: dict[str, tuple[np.ndarray, np.ndarray]]
-
-
-def _split_attention_vector(a: Tensor, d: int) -> tuple[Tensor, Tensor]:
-    return ad.narrow(a, 1, 0, d), ad.narrow(a, 1, d, 2 * d)
 
 
 def edge_attention_tensor(
@@ -83,7 +77,7 @@ def edge_attention_tensor(
     else:
         W = m.params[f"attn_w_{level}"]  # (heads, d, d)
         a = m.params[f"attn_a_{level}"]  # (heads, 2d)
-        a_tgt, a_src = _split_attention_vector(a, d)
+        a_tgt, a_src = ad.narrow(a, 1, 0, d), ad.narrow(a, 1, d, 2 * d)
         HW_tgt = ad.matmul(h_tgt, ad.transpose(W, (0, 2, 1)))  # (heads, n_tgt, d)
         HW_src = HW_tgt if h_src is h_tgt else ad.matmul(h_src, ad.transpose(W, (0, 2, 1)))
         t_tgt = ad.sum_(HW_tgt * ad.reshape(a_tgt, (heads, 1, d)), axis=2)  # (heads, n_tgt)
@@ -120,23 +114,17 @@ def attention_weights(
     n_targets: int,
     bias: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Normalized attention of one head as a plain array (n_edges,)."""
+    """Normalized attention of one head as a plain array (n_edges,);
+    ``h_targets`` holds the ``n_targets`` target rows."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if not 0 <= head < m.dims.heads:
         raise ValueError(f"head {head} out of range")
-    with ad.no_grad():
-        alpha = edge_attention_tensor(
-            m,
-            level,
-            Tensor(np.ascontiguousarray(h_targets, dtype=m.dtype)),
-            Tensor(np.ascontiguousarray(h_sources, dtype=m.dtype)),
-            np.asarray(tgt_idx),
-            np.asarray(src_idx),
-            n_targets,
-            bias=bias,
-        )
-    return alpha.data[head].copy()
+    _, alpha = _propagate_level(
+        m, level, h_targets, h_sources, np.asarray(tgt_idx), np.asarray(src_idx), n_targets,
+        bias=bias,
+    )
+    return alpha[head].copy()
 
 
 def _propagate_level_tensor(
@@ -170,6 +158,19 @@ def _propagate_level_tensor(
     return h_tgt + update, alpha
 
 
+def _propagate_level(
+    m: ModelState, level: str, h_tgt: np.ndarray, h_src: np.ndarray, *args, **kwargs
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_propagate_level_tensor`` on plain embedding arrays, without a tape;
+    returns (updated targets, per-head attention) as arrays.  One array passed
+    as both targets and sources stays one tensor, so it is projected once."""
+    with ad.no_grad():
+        t = Tensor(np.ascontiguousarray(h_tgt, dtype=m.dtype))
+        s = t if h_src is h_tgt else Tensor(np.ascontiguousarray(h_src, dtype=m.dtype))
+        out, alpha = _propagate_level_tensor(m, level, t, s, *args, **kwargs)
+    return out.data, alpha.data
+
+
 def propagate_item_item(
     edges: ItemItemEdges, h_items: np.ndarray, m: ModelState
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,47 +178,28 @@ def propagate_item_item(
 
     Returns (updated embeddings, per-head attention weights).
     """
-    with ad.no_grad():
-        h = Tensor(np.ascontiguousarray(h_items, dtype=m.dtype))
-        out, alpha = _propagate_level_tensor(
-            m, "item_item", h, h, edges.tgt, edges.src, h_items.shape[0],
-            bias=edges.weight, elementwise=True,
-        )
-    return out.data, alpha.data
+    return _propagate_level(
+        m, "item_item", h_items, h_items, edges.tgt, edges.src, h_items.shape[0],
+        bias=edges.weight, elementwise=True,
+    )
 
 
 def propagate_item_outfit(
     graph: FashionGraph, h_items_star: np.ndarray, h_outfits: np.ndarray, m: ModelState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine outfit embeddings from their (updated) item embeddings."""
-    with ad.no_grad():
-        out, alpha = _propagate_level_tensor(
-            m,
-            "item_outfit",
-            Tensor(np.ascontiguousarray(h_outfits, dtype=m.dtype)),
-            Tensor(np.ascontiguousarray(h_items_star, dtype=m.dtype)),
-            graph.oi_tgt,
-            graph.oi_src,
-            graph.n_outfits,
-        )
-    return out.data, alpha.data
+    return _propagate_level(
+        m, "item_outfit", h_outfits, h_items_star, graph.oi_tgt, graph.oi_src, graph.n_outfits
+    )
 
 
 def propagate_outfit_user(
     graph: FashionGraph, h_outfits_star: np.ndarray, h_users: np.ndarray, m: ModelState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine user embeddings from their training-interaction outfits."""
-    with ad.no_grad():
-        out, alpha = _propagate_level_tensor(
-            m,
-            "outfit_user",
-            Tensor(np.ascontiguousarray(h_users, dtype=m.dtype)),
-            Tensor(np.ascontiguousarray(h_outfits_star, dtype=m.dtype)),
-            graph.uo_tgt,
-            graph.uo_src,
-            graph.n_users,
-        )
-    return out.data, alpha.data
+    return _propagate_level(
+        m, "outfit_user", h_users, h_outfits_star, graph.uo_tgt, graph.uo_src, graph.n_users
+    )
 
 
 def _dropout(x: Tensor, p: float, rng: np.random.Generator, dtype) -> Tensor:
@@ -270,16 +252,10 @@ def forward_tensors(
         graph.uo_tgt, graph.uo_src, graph.n_users, dropout_p=attn_p, rng=rng,
     )
     return ForwardTensors(
-        h_item=h_item,
         h_item_star=h_item_star,
         h_outfit_star=h_outfit_star,
         h_user_star=h_user_star,
         attention={"item_item": alpha_ii, "item_outfit": alpha_io, "outfit_user": alpha_ou},
-        edge_index={
-            "item_item": (graph.item_edges.tgt, graph.item_edges.src),
-            "item_outfit": (graph.oi_tgt, graph.oi_src),
-            "outfit_user": (graph.uo_tgt, graph.uo_src),
-        },
     )
 
 
@@ -294,13 +270,13 @@ def forward(
     """Run the full pass and materialize arrays plus cached attention."""
     with ad.no_grad():
         ft = forward_tensors(graph, ds, m, mode=mode, dropout=dropout, rng=rng)
+    edges = {
+        "item_item": (graph.item_edges.tgt, graph.item_edges.src),
+        "item_outfit": (graph.oi_tgt, graph.oi_src),
+        "outfit_user": (graph.uo_tgt, graph.uo_src),
+    }
     attention = {
-        level: EdgeAttention(
-            tgt=ft.edge_index[level][0],
-            src=ft.edge_index[level][1],
-            alpha=ft.attention[level].data.copy(),
-        )
-        for level in LEVELS
+        level: EdgeAttention(*edges[level], alpha=ft.attention[level].data) for level in LEVELS
     }
     return PropagationOutput(
         h_item_star=ft.h_item_star.data,

@@ -50,9 +50,6 @@ class TrainConfig:
     seed: int = 0
     lambda_rec: float = 1.0
     lambda_comp: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     d_h: int = 256
     view_hidden: int = 32
     dtype: str = "float64"
@@ -124,15 +121,14 @@ def make_model(graph: FashionGraph, ds: Dataset, cfg: TrainConfig) -> ModelState
 
 
 def bpr_rec_loss(score_pos, score_neg):
-    """-ln sigmoid(pos - neg); stable for arbitrarily large |pos - neg|."""
+    """-ln sigmoid(pos - neg) by ``ad.softplus``, the kernel ``batch_loss``
+    trains on; stable for arbitrarily large |pos - neg|."""
     diff = np.asarray(score_pos, dtype=np.float64) - np.asarray(score_neg, dtype=np.float64)
-    out = np.logaddexp(0.0, -diff)
+    out = ad.softplus(Tensor(-diff)).data
     return float(out) if out.ndim == 0 else out
 
 
-def bpr_comp_loss(score_pos, score_neg):
-    """Same pairwise loss applied to compatibility scores."""
-    return bpr_rec_loss(score_pos, score_neg)
+bpr_comp_loss = bpr_rec_loss  # the same pairwise loss on compatibility scores
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +143,25 @@ def category_pools(ds: Dataset, item_ids) -> dict[int, np.ndarray]:
     return {cat: np.array(ids, dtype=np.int64) for cat, ids in pools.items()}
 
 
+TEMPLATE_ATTEMPTS = 100
+
+
 def category_template_negative(
     ds: Dataset,
     outfit_id: int,
     by_category: dict[int, np.ndarray],
     outfit_sets: set[frozenset[int]],
     rng: np.random.Generator,
-    bound: int = 100,
 ) -> tuple[int, ...] | None:
     """Sample an item list matching the outfit's category multiset.
 
     Each slot draws uniformly from ``by_category`` (``category_pools``) for
     its item's category, a pool that holds at least that item.  Retries
     until the result is not an existing outfit and has no duplicate items;
-    gives up after ``bound`` attempts.
+    gives up after ``TEMPLATE_ATTEMPTS`` attempts.
     """
     template = [ds.items[i].category for i in ds.outfits[outfit_id]]
-    for _ in range(bound):
+    for _ in range(TEMPLATE_ATTEMPTS):
         candidate = tuple(int(rng.choice(by_category[cat])) for cat in template)
         if len(set(candidate)) != len(candidate):
             continue
@@ -233,6 +231,13 @@ def batch_loss(
     terms = []
     l_rec = l_comp = 0.0
 
+    def pairwise(pos: Tensor, neg: Tensor, weight: float) -> float:
+        """Add ``weight`` x the mean pairwise term to ``terms``; return the mean."""
+        diff = pos - neg
+        term = ad.mean(ad.softplus(-diff) if objective == "bpr" else -diff)
+        terms.append(Tensor(np.asarray(weight, dtype=m.dtype)) * term)
+        return term.item()
+
     if batch.n_rec:
         u_idx = np.array([graph.user_index[u] for u in batch.rec_users])
         p_idx = np.array([graph.outfit_index[o] for o in batch.rec_pos])
@@ -240,10 +245,7 @@ def batch_loss(
         h_u = ad.gather(ft.h_user_star, u_idx, axis=0)
         y_pos = ad.sum_(h_u * ad.gather(ft.h_outfit_star, p_idx, axis=0), axis=1)
         y_neg = ad.sum_(h_u * ad.gather(ft.h_outfit_star, n_idx, axis=0), axis=1)
-        diff = y_pos - y_neg
-        rec = ad.mean(ad.softplus(-diff) if objective == "bpr" else -diff)
-        l_rec = rec.item()
-        terms.append(Tensor(np.asarray(cfg.lambda_rec, dtype=m.dtype)) * rec)
+        l_rec = pairwise(y_pos, y_neg, cfg.lambda_rec)
 
     if batch.n_comp:
         item_index = graph.item_index
@@ -253,10 +255,7 @@ def batch_loss(
         neg_rows = [np.array([item_index[i] for i in items]) for items in batch.comp_neg]
         s_pos = rview_scores_tensor(m, ft.h_item_star, pos_rows)
         s_neg = rview_scores_tensor(m, ft.h_item_star, neg_rows)
-        diff = s_pos - s_neg
-        comp = ad.mean(ad.softplus(-diff) if objective == "bpr" else -diff)
-        l_comp = comp.item()
-        terms.append(Tensor(np.asarray(cfg.lambda_comp, dtype=m.dtype)) * comp)
+        l_comp = pairwise(s_pos, s_neg, cfg.lambda_comp)
 
     if cfg.l2 > 0:
         sq = [ad.sum_(p * p) for p in m.params.values()]
@@ -291,7 +290,7 @@ class Adam:
 
     @classmethod
     def from_config(cls, cfg: TrainConfig) -> "Adam":
-        return cls(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+        return cls(lr=cfg.lr)
 
     def step(self, model: ModelState):
         self.t += 1
@@ -406,7 +405,6 @@ def gradient_check(
     cfg: TrainConfig,
     step: float = 1e-5,
     max_per_group: int | None = None,
-    component_seed: int = 0,
     objective: str = "bpr",
 ) -> GradientCheckReport:
     """Compare backward gradients of the batch objective against central
@@ -432,7 +430,7 @@ def gradient_check(
             value, _, _ = batch_loss(m, graph, ds, sample, cfg, mode="eval", objective=objective)
         return value.item()
 
-    rng = np.random.default_rng(component_seed)
+    rng = np.random.default_rng(0)
     per_group: dict[str, float] = {}
     for name, p in m.parameters():
         g_flat = analytic[name].ravel()
