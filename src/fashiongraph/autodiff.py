@@ -276,34 +276,109 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make(a.data[index], (a,), backward)
 
 
-def _scatter_add(out: np.ndarray, idx, values: np.ndarray, axis: int) -> np.ndarray:
-    """Add slice ``k`` of ``values`` along ``axis`` into slice ``idx[k]`` of
-    ``out``; repeated indices accumulate.  Returns ``out``."""
-    np.add.at(np.moveaxis(out, axis, 0), idx, np.moveaxis(values, axis, 0))
+class Segments:
+    """An index array laid out as runs of equal values, built once and shared
+    by every reduction over that index.
+
+    ``order`` is the stable argsort of ``index`` (``None`` when the index is
+    already sorted).  In that order run ``k`` starts at ``starts[k]`` and
+    belongs to bucket ``ids[k]``; empty buckets have no run.
+    """
+
+    __slots__ = ("index", "order", "starts", "ids")
+
+    def __init__(self, index):
+        index = np.asarray(index)
+        if index.ndim != 1:
+            raise ValueError("a segment index must be 1-D")
+        self.index, self.order, ordered = index, None, index
+        if (index[1:] < index[:-1]).any():
+            self.order = np.argsort(index, kind="stable")
+            ordered = index[self.order]
+        new_run = np.ones(len(index), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+        self.starts = np.flatnonzero(new_run)
+        self.ids = ordered[self.starts]
+
+
+def _segments(segments) -> Segments:
+    return segments if isinstance(segments, Segments) else Segments(segments)
+
+
+def _segment_reduce(ufunc, values: np.ndarray, segs: Segments, out: np.ndarray,
+                    axis: int = 0) -> np.ndarray:
+    """Reduce each run of ``segs`` along ``axis`` of ``values`` with ``ufunc``
+    into its bucket's slice of ``out``, and return ``out``.  The slices of
+    empty buckets keep what ``out`` held (0, or -inf for a maximum)."""
+    if len(segs.starts):
+        if segs.order is not None:
+            values = np.take(values, segs.order, axis=axis)
+        reduced = ufunc.reduceat(values, segs.starts, axis=axis)
+        out[(slice(None),) * axis + (segs.ids,)] = reduced
     return out
 
 
 def gather(a: Tensor, idx, axis: int = 0) -> Tensor:
-    """Select slices ``idx`` along ``axis`` (gradient scatter-adds back)."""
-    idx = np.asarray(idx)
+    """Select slices ``idx`` along ``axis``; ``idx`` is an index array or its
+    ``Segments``.  The gradient sums back over the segments of ``idx``."""
+    segs = idx if isinstance(idx, Segments) else None
+    idx = segs.index if segs is not None else np.asarray(idx)
 
     def backward(g):
-        return (_scatter_add(np.zeros_like(a.data), idx, g, axis),)
+        return (_segment_reduce(np.add, g, segs or Segments(idx), np.zeros_like(a.data), axis),)
 
     return _make(np.take(a.data, idx, axis=axis), (a,), backward)
 
 
 def segment_sum(a: Tensor, segments, num_segments: int, axis: int = 0) -> Tensor:
-    """Sum slices of ``a`` along ``axis`` into ``num_segments`` buckets."""
-    segments = np.asarray(segments)
+    """Sum slices of ``a`` along ``axis`` into ``num_segments`` buckets;
+    ``segments`` is the bucket index array or its ``Segments``."""
+    segs = _segments(segments)
     shape = list(a.data.shape)
     shape[axis] = num_segments
-    out = _scatter_add(np.zeros(shape, dtype=a.data.dtype), segments, a.data, axis)
+    out = _segment_reduce(np.add, a.data, segs, np.zeros(shape, dtype=a.data.dtype), axis)
 
     def backward(g):
-        return (np.take(g, segments, axis=axis),)
+        return (np.take(g, segs.index, axis=axis),)
 
     return _make(out, (a,), backward)
+
+
+def edge_sum(alpha: Tensor, x: Tensor, edges) -> Tensor:
+    """Weighted neighbour sum ``out[h, t] = sum over edges e into t of
+    alpha[h, e] * x[src[e]]``, shape (heads, n_tgt, d).
+
+    ``edges`` is a ``graph.LevelEdges`` (target-sorted ``tgt``/``src``,
+    ``n_tgt`` and the ``by_tgt``/``by_src`` segments); ``alpha`` is
+    (heads, n_edges) and ``x`` is (n_src, d).  No (heads, n_edges, d)
+    array is built: each head is reduced on its own.  Per-edge rows are
+    held feature-major, (d, n_edges), because ``reduceat`` over short runs
+    is several times faster along the contiguous axis.
+    """
+    a = alpha.data
+    xs = np.take(np.ascontiguousarray(x.data.T), edges.src, axis=1)  # (d, n_edges)
+    out = np.zeros((a.shape[0], edges.n_tgt, xs.shape[0]), dtype=np.result_type(a, xs))
+    for h in range(a.shape[0]):
+        _segment_reduce(np.add, xs * a[h], edges.by_tgt, out[h].T, axis=1)
+
+    def backward(g):
+        ga = np.empty_like(a) if alpha.requires_grad else None
+        gx = None
+        for h in range(a.shape[0]):
+            g_edge = np.take(np.ascontiguousarray(g[h].T), edges.tgt, axis=1)  # (d, n_edges)
+            if ga is not None:
+                ga[h] = np.einsum("de,de->e", g_edge, xs)
+            if x.requires_grad:
+                g_edge *= a[h]
+                if gx is None:
+                    gx = g_edge
+                else:
+                    gx += g_edge
+        if gx is not None:
+            gx = _segment_reduce(np.add, gx, edges.by_src, np.zeros_like(x.data).T, axis=1).T
+        return ga, gx
+
+    return _make(out, (alpha, x), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +459,12 @@ def segment_softmax(logits: Tensor, segments, num_segments: int, axis: int = 0) 
     exponentiation; it cancels exactly in the softmax, so detaching it
     leaves both value and gradient unchanged while preventing overflow.
     """
-    segments = np.asarray(segments)
+    segs = _segments(segments)
     shape = list(logits.data.shape)
     shape[axis] = num_segments
     seg_max = np.full(shape, -np.inf, dtype=logits.data.dtype)
-    np.maximum.at(np.moveaxis(seg_max, axis, 0), segments, np.moveaxis(logits.data, axis, 0))
-    shifted = logits - Tensor(np.take(seg_max, segments, axis=axis))
+    _segment_reduce(np.maximum, logits.data, segs, seg_max, axis)
+    shifted = logits - Tensor(np.take(seg_max, segs.index, axis=axis))
     z = exp(shifted)
-    denom = segment_sum(z, segments, num_segments, axis=axis)
-    return z / gather(denom, segments, axis=axis)
+    denom = segment_sum(z, segs, num_segments, axis=axis)
+    return z / gather(denom, segs, axis=axis)

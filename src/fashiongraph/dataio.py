@@ -148,6 +148,8 @@ def _read_tsv(path: str | Path, n_fields: int):
 def read_features(path: str | Path) -> dict[int, np.ndarray]:
     """Read one modality's feature file; returns item id -> float32 vector."""
     blob = Path(path).read_bytes()
+    if len(blob) < 20:
+        raise DatasetError(f"{path}: truncated header ({len(blob)} bytes, expected 20)")
     if blob[:8] != FEATURES_MAGIC:
         raise DatasetError(f"{path}: bad magic {blob[:8]!r}")
     version, count, dim = struct.unpack_from("<III", blob, 8)
@@ -160,6 +162,11 @@ def read_features(path: str | Path) -> dict[int, np.ndarray]:
     layout = np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
     records = np.frombuffer(blob, dtype=layout, count=count, offset=20)
     vectors = records["vec"].copy()  # one allocation; each item's vector is a row
+    # min and max are NaN or infinite iff some value is; unlike
+    # np.isfinite(vectors).all() they allocate no matrix-sized mask.
+    if vectors.size and not (np.isfinite(vectors.min()) and np.isfinite(vectors.max())):
+        row = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
+        raise DatasetError(f"{path}: item {records['id'][row]}: non-finite feature value")
     return {int(iid): vectors[k] for k, iid in enumerate(records["id"])}
 
 

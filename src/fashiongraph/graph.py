@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Segments
 from .dataio import Dataset, Splits, validate_dataset
 
 
@@ -54,6 +55,32 @@ class ItemItemEdges:
     weight: np.ndarray
 
 
+class LevelEdges:
+    """One attention level's edges with the segment layout that every
+    reduction over them runs on: built once per level.
+
+    ``tgt``/``src`` are sorted by target; ``by_tgt`` holds the runs of each
+    non-empty target segment and ``by_src`` the stable source-sorted
+    permutation with its runs.  Raises ``ValueError`` unless the edges are
+    target-sorted with every target in ``[0, n_tgt)``.
+    """
+
+    __slots__ = ("tgt", "src", "n_tgt", "by_tgt", "by_src")
+
+    def __init__(self, tgt, src, n_tgt: int):
+        tgt = np.asarray(tgt, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        if tgt.ndim != 1 or tgt.shape != src.shape:
+            raise ValueError("tgt and src must be 1-D arrays of one length")
+        self.by_tgt = Segments(tgt)
+        if self.by_tgt.order is not None:
+            raise ValueError("edges must be sorted by target")
+        if len(tgt) and (tgt[0] < 0 or tgt[-1] >= n_tgt):
+            raise ValueError(f"edge targets must lie in [0, {n_tgt})")
+        self.tgt, self.src, self.n_tgt = tgt, src, int(n_tgt)
+        self.by_src = Segments(src)
+
+
 @dataclass(frozen=True, eq=False)
 class FashionGraph:
     user_ids: np.ndarray  # sorted
@@ -68,10 +95,24 @@ class FashionGraph:
     item_outfits: dict[int, list[int]]
     category_graph: CategoryGraph
     item_edges: ItemItemEdges
-    uo_tgt: np.ndarray = field(repr=False)  # user index per user-outfit edge
-    uo_src: np.ndarray = field(repr=False)  # outfit index per user-outfit edge
-    oi_tgt: np.ndarray = field(repr=False)  # outfit index per outfit-item edge
-    oi_src: np.ndarray = field(repr=False)  # item index per outfit-item edge
+    # "item_item", "item_outfit", "outfit_user" -> that level's edges
+    levels: dict[str, LevelEdges] = field(repr=False)
+
+    @property
+    def uo_tgt(self) -> np.ndarray:  # user index per user-outfit edge
+        return self.levels["outfit_user"].tgt
+
+    @property
+    def uo_src(self) -> np.ndarray:  # outfit index per user-outfit edge
+        return self.levels["outfit_user"].src
+
+    @property
+    def oi_tgt(self) -> np.ndarray:  # outfit index per outfit-item edge
+        return self.levels["item_outfit"].tgt
+
+    @property
+    def oi_src(self) -> np.ndarray:  # item index per outfit-item edge
+        return self.levels["item_outfit"].src
 
     @property
     def n_users(self) -> int:
@@ -197,6 +238,8 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
         for i in ds.outfits[o]:
             item_outfits[i].append(o)
 
+    # Every level comes out target-sorted: edge_pairs and the outfits are
+    # sorted by id, and the index maps preserve id order.
     uo_tgt = np.array([user_index[u] for u, _ in edge_pairs], dtype=np.int64)
     uo_src = np.array([outfit_index[o] for _, o in edge_pairs], dtype=np.int64)
     oi_pairs = [(o, i) for o in sorted(ds.outfits) for i in ds.outfits[o]]
@@ -205,6 +248,11 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
 
     cg = category_cooccurrence_weights(ds)
     item_edges = build_item_item_edges(ds, cg, item_index)
+    levels = {
+        "item_item": LevelEdges(item_edges.tgt, item_edges.src, len(item_ids)),
+        "item_outfit": LevelEdges(oi_tgt, oi_src, len(outfit_ids)),
+        "outfit_user": LevelEdges(uo_tgt, uo_src, len(user_ids)),
+    }
 
     return FashionGraph(
         user_ids=user_ids,
@@ -219,10 +267,7 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
         item_outfits=item_outfits,
         category_graph=cg,
         item_edges=item_edges,
-        uo_tgt=uo_tgt,
-        uo_src=uo_src,
-        oi_tgt=oi_tgt,
-        oi_src=oi_src,
+        levels=levels,
     )
 
 

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import Dataset
 from .embed import LEVELS, ModelState, fuse_items_tensor
-from .graph import FashionGraph, ItemItemEdges
+from .graph import FashionGraph, ItemItemEdges, LevelEdges
 
 COOCCURRENCE_EPS = 1e-8
 
@@ -60,9 +60,7 @@ def edge_attention_tensor(
     level: str,
     h_tgt: Tensor,
     h_src: Tensor,
-    tgt_idx: np.ndarray,
-    src_idx: np.ndarray,
-    n_targets: int,
+    edges: LevelEdges,
     bias: np.ndarray | None = None,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
@@ -70,10 +68,11 @@ def edge_attention_tensor(
     """Per-edge attention weights for all heads, shape (heads, n_edges)."""
     d = m.dims.d
     heads = m.dims.heads
-    n_edges = len(tgt_idx)
+    n_edges = len(edges.tgt)
     if m.dims.uniform_attention:
-        counts = np.bincount(tgt_idx, minlength=n_targets).astype(m.dtype)
-        alpha = Tensor(np.broadcast_to(1.0 / counts[tgt_idx], (heads, n_edges)).copy())
+        lengths = np.diff(edges.by_tgt.starts, append=n_edges)  # per non-empty target
+        per_edge = np.repeat(1.0 / lengths.astype(m.dtype), lengths)
+        alpha = Tensor(np.broadcast_to(per_edge, (heads, n_edges)).copy())
     else:
         W = m.params[f"attn_w_{level}"]  # (heads, d, d)
         a = m.params[f"attn_a_{level}"]  # (heads, 2d)
@@ -83,23 +82,23 @@ def edge_attention_tensor(
         t_tgt = ad.sum_(HW_tgt * ad.reshape(a_tgt, (heads, 1, d)), axis=2)  # (heads, n_tgt)
         t_src = ad.sum_(HW_src * ad.reshape(a_src, (heads, 1, d)), axis=2)
         logits = ad.leaky_relu(
-            ad.gather(t_tgt, tgt_idx, axis=1) + ad.gather(t_src, src_idx, axis=1),
+            ad.gather(t_tgt, edges.by_tgt, axis=1) + ad.gather(t_src, edges.by_src, axis=1),
             m.dims.leaky_slope,
         )
         if bias is not None:
             ln_bias = np.log(np.asarray(bias, dtype=np.float64) + COOCCURRENCE_EPS)
             logits = logits + Tensor(ln_bias.astype(m.dtype))
-        alpha = ad.segment_softmax(logits, tgt_idx, n_targets, axis=1)
+        alpha = ad.segment_softmax(logits, edges.by_tgt, edges.n_tgt, axis=1)
     if dropout_p > 0.0:
         if rng is None:
             raise ValueError("attention dropout needs an RNG")
         mask = (rng.random((heads, n_edges)) >= dropout_p).astype(m.dtype)
         kept = alpha * Tensor(mask)
-        denom = ad.segment_sum(kept, tgt_idx, n_targets, axis=1)
+        denom = ad.segment_sum(kept, edges.by_tgt, edges.n_tgt, axis=1)
         # Renormalize the surviving weights; a fully dropped neighborhood
         # contributes nothing (0/1 = 0).
         safe = (denom.data == 0.0).astype(m.dtype)
-        alpha = kept / ad.gather(denom + Tensor(safe), tgt_idx, axis=1)
+        alpha = kept / ad.gather(denom + Tensor(safe), edges.by_tgt, axis=1)
     return alpha
 
 
@@ -121,8 +120,7 @@ def attention_weights(
     if not 0 <= head < m.dims.heads:
         raise ValueError(f"head {head} out of range")
     _, alpha = _propagate_level(
-        m, level, h_targets, h_sources, np.asarray(tgt_idx), np.asarray(src_idx), n_targets,
-        bias=bias,
+        m, level, h_targets, h_sources, LevelEdges(tgt_idx, src_idx, n_targets), bias=bias
     )
     return alpha[head].copy()
 
@@ -132,28 +130,23 @@ def _propagate_level_tensor(
     level: str,
     h_tgt: Tensor,
     h_src: Tensor,
-    tgt_idx: np.ndarray,
-    src_idx: np.ndarray,
-    n_targets: int,
+    edges: LevelEdges,
     bias: np.ndarray | None = None,
     elementwise: bool = False,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
-    heads = m.dims.heads
-    n_edges = len(tgt_idx)
     alpha = edge_attention_tensor(
-        m, level, h_tgt, h_src, tgt_idx, src_idx, n_targets,
-        bias=bias, dropout_p=dropout_p, rng=rng,
+        m, level, h_tgt, h_src, edges, bias=bias, dropout_p=dropout_p, rng=rng
     )
     W_msg = ad.transpose(m.params[f"msg_w_{level}"], (1, 0))
+    # W_m is linear, so it is applied per node, never per edge: at the item
+    # level sum_s alpha W_m (h_t * h_s) = W_m (h_t * sum_s alpha h_s); at
+    # the other levels each source is transformed once before the sum.
     if elementwise:
-        prod = ad.gather(h_tgt, tgt_idx, axis=0) * ad.gather(h_src, src_idx, axis=0)
-        base = ad.matmul(prod, W_msg)  # (n_edges, d)
+        agg = ad.matmul(h_tgt * ad.edge_sum(alpha, h_src, edges), W_msg)  # (heads, n_tgt, d)
     else:
-        base = ad.gather(ad.matmul(h_src, W_msg), src_idx, axis=0)
-    weighted = ad.reshape(alpha, (heads, n_edges, 1)) * base  # (heads, n_edges, d)
-    agg = ad.segment_sum(weighted, tgt_idx, n_targets, axis=1)
+        agg = ad.edge_sum(alpha, ad.matmul(h_src, W_msg), edges)
     update = ad.mean(ad.leaky_relu(agg, m.dims.leaky_slope), axis=0)
     return h_tgt + update, alpha
 
@@ -178,9 +171,9 @@ def propagate_item_item(
 
     Returns (updated embeddings, per-head attention weights).
     """
+    level = LevelEdges(edges.tgt, edges.src, h_items.shape[0])
     return _propagate_level(
-        m, "item_item", h_items, h_items, edges.tgt, edges.src, h_items.shape[0],
-        bias=edges.weight, elementwise=True,
+        m, "item_item", h_items, h_items, level, bias=edges.weight, elementwise=True
     )
 
 
@@ -188,18 +181,16 @@ def propagate_item_outfit(
     graph: FashionGraph, h_items_star: np.ndarray, h_outfits: np.ndarray, m: ModelState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine outfit embeddings from their (updated) item embeddings."""
-    return _propagate_level(
-        m, "item_outfit", h_outfits, h_items_star, graph.oi_tgt, graph.oi_src, graph.n_outfits
-    )
+    edges = LevelEdges(graph.oi_tgt, graph.oi_src, graph.n_outfits)
+    return _propagate_level(m, "item_outfit", h_outfits, h_items_star, edges)
 
 
 def propagate_outfit_user(
     graph: FashionGraph, h_outfits_star: np.ndarray, h_users: np.ndarray, m: ModelState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine user embeddings from their training-interaction outfits."""
-    return _propagate_level(
-        m, "outfit_user", h_users, h_outfits_star, graph.uo_tgt, graph.uo_src, graph.n_users
-    )
+    edges = LevelEdges(graph.uo_tgt, graph.uo_src, graph.n_users)
+    return _propagate_level(m, "outfit_user", h_users, h_outfits_star, edges)
 
 
 def _dropout(x: Tensor, p: float, rng: np.random.Generator, dtype) -> Tensor:
@@ -238,18 +229,18 @@ def forward_tensors(
         h_user = _dropout(h_user, p_embed, rng, m.dtype)
 
     attn_p = p_attn if training else 0.0
+    levels = graph.levels
     h_item_star, alpha_ii = _propagate_level_tensor(
-        m, "item_item", h_item, h_item,
-        graph.item_edges.tgt, graph.item_edges.src, graph.n_items,
+        m, "item_item", h_item, h_item, levels["item_item"],
         bias=graph.item_edges.weight, elementwise=True, dropout_p=attn_p, rng=rng,
     )
     h_outfit_star, alpha_io = _propagate_level_tensor(
-        m, "item_outfit", h_outfit, h_item_star,
-        graph.oi_tgt, graph.oi_src, graph.n_outfits, dropout_p=attn_p, rng=rng,
+        m, "item_outfit", h_outfit, h_item_star, levels["item_outfit"],
+        dropout_p=attn_p, rng=rng,
     )
     h_user_star, alpha_ou = _propagate_level_tensor(
-        m, "outfit_user", h_user, h_outfit_star,
-        graph.uo_tgt, graph.uo_src, graph.n_users, dropout_p=attn_p, rng=rng,
+        m, "outfit_user", h_user, h_outfit_star, levels["outfit_user"],
+        dropout_p=attn_p, rng=rng,
     )
     return ForwardTensors(
         h_item_star=h_item_star,
@@ -270,13 +261,11 @@ def forward(
     """Run the full pass and materialize arrays plus cached attention."""
     with ad.no_grad():
         ft = forward_tensors(graph, ds, m, mode=mode, dropout=dropout, rng=rng)
-    edges = {
-        "item_item": (graph.item_edges.tgt, graph.item_edges.src),
-        "item_outfit": (graph.oi_tgt, graph.oi_src),
-        "outfit_user": (graph.uo_tgt, graph.uo_src),
-    }
     attention = {
-        level: EdgeAttention(*edges[level], alpha=ft.attention[level].data) for level in LEVELS
+        level: EdgeAttention(
+            graph.levels[level].tgt, graph.levels[level].src, alpha=ft.attention[level].data
+        )
+        for level in LEVELS
     }
     return PropagationOutput(
         h_item_star=ft.h_item_star.data,

@@ -175,16 +175,24 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
     rng = substream(seed, "sampling", epoch)
     all_outfits = np.array(sorted(ds.outfits), dtype=np.int64)
 
+    # With q the positions of a user's known outfits, known outfit i has
+    # q[i] - i unknown ones before it, so the k-th unknown outfit (from 0)
+    # sits at k + #{i : q[i] - i <= k}: O(|known|) per user, O(log) per pair.
+    shifted_by_user: dict[int, np.ndarray] = {}
     rec_users, rec_pos, rec_neg = [], [], []
     for u, o in split.pairs("train"):
-        known = split.user_known(u)
-        candidates = all_outfits[~np.isin(all_outfits, sorted(known))]
-        if len(candidates) == 0:
+        shifted = shifted_by_user.get(u)
+        if shifted is None:
+            q = np.searchsorted(all_outfits, sorted(split.user_known(u)))
+            shifted = shifted_by_user[u] = q - np.arange(len(q))
+        n_unknown = len(all_outfits) - len(shifted)
+        if n_unknown == 0:
             warnings.warn(f"user {u} interacted with every outfit; skipping triple")
             continue
+        k = int(rng.integers(n_unknown))
         rec_users.append(u)
         rec_pos.append(o)
-        rec_neg.append(int(candidates[rng.integers(len(candidates))]))
+        rec_neg.append(int(all_outfits[k + np.searchsorted(shifted, k, side="right")]))
 
     by_category = category_pools(ds, ds.items)
     outfit_sets = {frozenset(m) for m in ds.outfits.values()}
