@@ -226,15 +226,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul operands must be at least 2-D")
 
     def backward(g):
-        # A constant operand (a feature matrix, say) gets no gradient.
+        # A constant operand (a feature matrix, say) gets no gradient.  A 2-D
+        # operand broadcast over a batch takes its gradient from one product
+        # that also sums over the batch, never from a (batch, ...) stack.
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+            if a.ndim == 2 and g.ndim == 3:
+                ga = np.tensordot(g, b.data, axes=([0, 2], [0, 2]))
+            else:
+                ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
         if b.requires_grad:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+            if b.ndim == 2 and g.ndim == 3:
+                gb = np.tensordot(a.data, g, axes=([0, 1], [0, 1]))
+            else:
+                gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
         return ga, gb
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x W^T + b`` of a batch ``x`` (n, in) by ``W``
+    (out, in) and ``b`` (out,), as one node."""
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    if x.ndim != 2 or W.ndim != 2 or b.ndim != 1:
+        raise ValueError("linear takes x (n, in), W (out, in) and b (out,)")
+
+    def backward(g):
+        # A constant input (a feature matrix, say) gets no gradient.
+        gx = np.matmul(g, W.data) if x.requires_grad else None
+        gW = np.matmul(g.T, x.data) if W.requires_grad else None
+        gb = g.sum(axis=0) if b.requires_grad else None
+        return gx, gW, gb
+
+    return _make(np.matmul(x.data, W.data.T) + b.data, (x, W, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +420,17 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
+def sum_squares(tensors) -> Tensor:
+    """The sum of the squares of every entry of ``tensors``, as one node."""
+    tensors = [_as_tensor(t) for t in tensors]
+    total = sum((t.data * t.data).sum() for t in tensors)
+
+    def backward(g):
+        return tuple(2 * g * t.data for t in tensors)
+
+    return _make(np.asarray(total), tuple(tensors), backward)
+
+
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     if axis is None:
         count = a.data.size
@@ -417,8 +453,10 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    one = a.data.dtype.type(1.0)
-    scale = np.where(a.data >= 0, one, a.data.dtype.type(slope))
+    # A lookup of 1 or slope by sign: np.where over mixed signs is several
+    # times slower.
+    table = np.array([slope, 1.0], dtype=a.data.dtype)
+    scale = table.take((a.data >= 0).view(np.uint8))
     return _make(a.data * scale, (a,), lambda g: (g * scale,))
 
 

@@ -60,6 +60,16 @@ class Dataset:
         graph's item order; stacked on first use, then kept."""
         return feature_matrices(self, sorted(self.items))
 
+    @cached_property
+    def items_by_category(self) -> dict[int, np.ndarray]:
+        """``category_pools`` of all items; built on first use, then kept."""
+        return category_pools(self, self.items)
+
+    @cached_property
+    def outfit_sets(self) -> frozenset[frozenset[int]]:
+        """The item set of every stored outfit; built on first use, then kept."""
+        return frozenset(frozenset(items) for items in self.outfits.values())
+
 
 @dataclass(frozen=True)
 class Splits:
@@ -464,6 +474,14 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
     )
     validate_dataset(ds)
     return ds
+
+
+def category_pools(ds: Dataset, item_ids) -> dict[int, np.ndarray]:
+    """The ``item_ids`` of each category, ascending, as int64 arrays."""
+    pools: dict[int, list[int]] = {}
+    for iid in sorted(item_ids):
+        pools.setdefault(ds.items[iid].category, []).append(iid)
+    return {cat: np.array(ids, dtype=np.int64) for cat, ids in pools.items()}
 
 
 def feature_matrices(ds: Dataset, item_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ and a row-major little-endian f32 payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,20 +200,17 @@ def _fuse(m: ModelState, X_v, X_t, categories) -> tuple[Tensor, Tensor, Tensor]:
             f"feature dims {X_v.shape[1]}/{X_t.shape[1]} do not match model "
             f"dims {m.dims.d_v}/{m.dims.d_t}"
         )
-    hidden = ad.leaky_relu(
-        ad.matmul(X_v, ad.transpose(m.params["visual_w1"], (1, 0))) + m.params["visual_b1"],
-        slope,
-    )
-    e_v = ad.matmul(hidden, ad.transpose(m.params["visual_w2"], (1, 0))) + m.params["visual_b2"]
+    p = m.params
+    hidden = ad.leaky_relu(ad.linear(X_v, p["visual_w1"], p["visual_b1"]), slope)
+    e_v = ad.linear(hidden, p["visual_w2"], p["visual_b2"])
     if m.dims.per_category_visual:
         if categories is None:
             raise ValueError("per-category fusion needs item categories")
-        W = ad.gather(m.params["visual_cat_w"], categories, axis=0)  # (n, half, half)
-        b = ad.gather(m.params["visual_cat_b"], categories, axis=0)
+        W = ad.gather(p["visual_cat_w"], categories, axis=0)  # (n, half, half)
+        b = ad.gather(p["visual_cat_b"], categories, axis=0)
         e_v = ad.reshape(ad.matmul(W, ad.reshape(e_v, (*e_v.shape, 1))), e_v.shape) + b
-    e_t = ad.matmul(X_t, ad.transpose(m.params["textual_w"], (1, 0))) + m.params["textual_b"]
-    both = ad.concat([e_v, e_t], axis=1)
-    fused = ad.matmul(both, ad.transpose(m.params["fusion_w"], (1, 0))) + m.params["fusion_b"]
+    e_t = ad.linear(X_t, p["textual_w"], p["textual_b"])
+    fused = ad.linear(ad.concat([e_v, e_t], axis=1), p["fusion_w"], p["fusion_b"])
     return e_v, e_t, fused
 
 
@@ -259,27 +257,44 @@ def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a checkpoint's named arrays; raise ``ValueError`` naming ``path``
+    for a file that is not a whole, well-formed checkpoint."""
     blob = Path(path).read_bytes()
+    offset = len(CHECKPOINT_MAGIC)
+
+    def take(n_bytes: int, what: str) -> int:
+        """Claim the next ``n_bytes`` bytes; return where they start."""
+        nonlocal offset
+        if n_bytes > len(blob) - offset:
+            raise ValueError(
+                f"{path}: truncated checkpoint: {what} needs {n_bytes} bytes at offset "
+                f"{offset}, {len(blob) - offset} left"
+            )
+        offset += n_bytes
+        return offset - n_bytes
+
+    def u32s(count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{count}I", blob, take(4 * count, what))
+
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:8]!r}")
-    version, n_sections = struct.unpack_from("<II", blob, 8)
+    version, n_sections = u32s(2, "header")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
-    offset = 16
-    for _ in range(n_sections):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+    for k in range(n_sections):
+        (name_len,) = u32s(1, f"section {k} name length")
+        start = take(name_len, f"section {k} name")
+        try:
+            name = blob[start:offset].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: section {k} name is not utf-8") from None
+        (ndim,) = u32s(1, f"section {name!r} rank")
+        shape = u32s(ndim, f"section {name!r} shape")
+        count = math.prod(shape)
+        start = take(4 * count, f"section {name!r} payload")
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape)
         out[name] = arr.copy()
-        offset += 4 * count
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
     return out

@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Dataset, Splits
+from .dataio import Dataset, Splits, category_pools
 from .embed import ModelState
 from .graph import FashionGraph
 from .propagate import PropagationOutput, forward
 from .rng import substream
 from .score import score_item_lists, score_items  # noqa: F401 (perfbench reads E.score_items)
-from .train import category_pools, category_template_negative
+from .train import category_template_negative
 
 # Users per score block.  Fixed, whatever ``threads`` is: BLAS may round a
 # row differently in a block of another shape, and the report must not move.
@@ -227,11 +227,11 @@ def compat_auc(
     ds: Dataset, prop: PropagationOutput, m: ModelState, seed: int
 ) -> float | None:
     """AUC of stored-outfit scores against category-template negatives."""
-    by_category = category_pools(ds, ds.items)
-    outfit_sets = {frozenset(v) for v in ds.outfits.values()}
     outfit_ids = sorted(ds.outfits)
     drawn = [
-        category_template_negative(ds, oid, by_category, outfit_sets, substream(seed, "auc", oid))
+        category_template_negative(
+            ds, oid, ds.items_by_category, ds.outfit_sets, substream(seed, "auc", oid)
+        )
         for oid in outfit_ids
     ]
     negatives = [n for n in drawn if n is not None]

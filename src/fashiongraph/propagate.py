@@ -55,6 +55,37 @@ class ForwardTensors:
     attention: dict[str, Tensor]
 
 
+def attention_logits(
+    m: ModelState,
+    level: str,
+    h_tgt: Tensor,
+    h_src: Tensor,
+    edges: LevelEdges,
+    bias: np.ndarray | None = None,
+) -> Tensor:
+    """Pre-softmax attention logits of all heads, shape (heads, n_edges).
+
+    a_k . [W_k h_t || W_k h_s] = (W_k^T a_tgt) . h_t + (W_k^T a_src) . h_s,
+    so W_k is folded into the two vectors once and each node costs one
+    product with them; no (heads, n, d) projection is built.
+    """
+    d, heads = m.dims.d, m.dims.heads
+    a = ad.reshape(m.params[f"attn_a_{level}"], (heads, 2, d))
+    v = ad.transpose(ad.matmul(a, m.params[f"attn_w_{level}"]), (0, 2, 1))  # (heads, d, 2)
+    if h_src is h_tgt:
+        both = ad.matmul(h_tgt, v)  # (heads, n, 2)
+        t_tgt, t_src = ad.narrow(both, 2, 0, 1), ad.narrow(both, 2, 1, 2)
+    else:
+        t_tgt = ad.matmul(h_tgt, ad.narrow(v, 2, 0, 1))  # (heads, n_tgt, 1)
+        t_src = ad.matmul(h_src, ad.narrow(v, 2, 1, 2))
+    pair = ad.gather(t_tgt, edges.by_tgt, axis=1) + ad.gather(t_src, edges.by_src, axis=1)
+    logits = ad.leaky_relu(ad.reshape(pair, (heads, len(edges.tgt))), m.dims.leaky_slope)
+    if bias is not None:
+        ln_bias = np.log(np.asarray(bias, dtype=np.float64) + COOCCURRENCE_EPS)
+        logits = logits + Tensor(ln_bias.astype(m.dtype))
+    return logits
+
+
 def edge_attention_tensor(
     m: ModelState,
     level: str,
@@ -66,7 +97,6 @@ def edge_attention_tensor(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Per-edge attention weights for all heads, shape (heads, n_edges)."""
-    d = m.dims.d
     heads = m.dims.heads
     n_edges = len(edges.tgt)
     if m.dims.uniform_attention:
@@ -74,20 +104,7 @@ def edge_attention_tensor(
         per_edge = np.repeat(1.0 / lengths.astype(m.dtype), lengths)
         alpha = Tensor(np.broadcast_to(per_edge, (heads, n_edges)).copy())
     else:
-        W = m.params[f"attn_w_{level}"]  # (heads, d, d)
-        a = m.params[f"attn_a_{level}"]  # (heads, 2d)
-        a_tgt, a_src = ad.narrow(a, 1, 0, d), ad.narrow(a, 1, d, 2 * d)
-        HW_tgt = ad.matmul(h_tgt, ad.transpose(W, (0, 2, 1)))  # (heads, n_tgt, d)
-        HW_src = HW_tgt if h_src is h_tgt else ad.matmul(h_src, ad.transpose(W, (0, 2, 1)))
-        t_tgt = ad.sum_(HW_tgt * ad.reshape(a_tgt, (heads, 1, d)), axis=2)  # (heads, n_tgt)
-        t_src = ad.sum_(HW_src * ad.reshape(a_src, (heads, 1, d)), axis=2)
-        logits = ad.leaky_relu(
-            ad.gather(t_tgt, edges.by_tgt, axis=1) + ad.gather(t_src, edges.by_src, axis=1),
-            m.dims.leaky_slope,
-        )
-        if bias is not None:
-            ln_bias = np.log(np.asarray(bias, dtype=np.float64) + COOCCURRENCE_EPS)
-            logits = logits + Tensor(ln_bias.astype(m.dtype))
+        logits = attention_logits(m, level, h_tgt, h_src, edges, bias=bias)
         alpha = ad.segment_softmax(logits, edges.by_tgt, edges.n_tgt, axis=1)
     if dropout_p > 0.0:
         if rng is None:
@@ -156,7 +173,7 @@ def _propagate_level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_propagate_level_tensor`` on plain embedding arrays, without a tape;
     returns (updated targets, per-head attention) as arrays.  One array passed
-    as both targets and sources stays one tensor, so it is projected once."""
+    as both targets and sources stays one tensor, so its logits take one product."""
     with ad.no_grad():
         t = Tensor(np.ascontiguousarray(h_tgt, dtype=m.dtype))
         s = t if h_src is h_tgt else Tensor(np.ascontiguousarray(h_src, dtype=m.dtype))

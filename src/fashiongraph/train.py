@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import Dataset, Splits
+from .dataio import Dataset, Splits, category_pools  # noqa: F401 (re-exported)
 from .embed import ModelDims, ModelState, init_model
 from .graph import FashionGraph
 from .propagate import forward_tensors
@@ -135,14 +136,6 @@ bpr_comp_loss = bpr_rec_loss  # the same pairwise loss on compatibility scores
 # negative sampling
 
 
-def category_pools(ds: Dataset, item_ids) -> dict[int, np.ndarray]:
-    """The ``item_ids`` of each category, ascending, as int64 arrays."""
-    pools: dict[int, list[int]] = {}
-    for iid in sorted(item_ids):
-        pools.setdefault(ds.items[iid].category, []).append(iid)
-    return {cat: np.array(ids, dtype=np.int64) for cat, ids in pools.items()}
-
-
 TEMPLATE_ATTEMPTS = 100
 
 
@@ -150,19 +143,23 @@ def category_template_negative(
     ds: Dataset,
     outfit_id: int,
     by_category: dict[int, np.ndarray],
-    outfit_sets: set[frozenset[int]],
+    outfit_sets: AbstractSet[frozenset[int]],
     rng: np.random.Generator,
 ) -> tuple[int, ...] | None:
     """Sample an item list matching the outfit's category multiset.
 
     Each slot draws uniformly from ``by_category`` (``category_pools``) for
     its item's category, a pool that holds at least that item.  Retries
-    until the result is not an existing outfit and has no duplicate items;
-    gives up after ``TEMPLATE_ATTEMPTS`` attempts.
+    until the result is not in ``outfit_sets`` (the stored outfits' item
+    sets) and has no duplicate items; gives up after ``TEMPLATE_ATTEMPTS``
+    attempts.  One ``integers`` call per attempt draws every slot, with the
+    same values and generator state as one ``choice`` per slot.
     """
-    template = [ds.items[i].category for i in ds.outfits[outfit_id]]
+    pools = [by_category[ds.items[i].category] for i in ds.outfits[outfit_id]]
+    sizes = np.array([len(pool) for pool in pools])
     for _ in range(TEMPLATE_ATTEMPTS):
-        candidate = tuple(int(rng.choice(by_category[cat])) for cat in template)
+        picks = rng.integers(0, sizes)
+        candidate = tuple(int(pool[k]) for pool, k in zip(pools, picks))
         if len(set(candidate)) != len(candidate):
             continue
         if frozenset(candidate) not in outfit_sets:
@@ -194,11 +191,9 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
         rec_pos.append(o)
         rec_neg.append(int(all_outfits[k + np.searchsorted(shifted, k, side="right")]))
 
-    by_category = category_pools(ds, ds.items)
-    outfit_sets = {frozenset(m) for m in ds.outfits.values()}
     comp_pos, comp_neg = [], []
     for o in sorted(ds.outfits):
-        negative = category_template_negative(ds, o, by_category, outfit_sets, rng)
+        negative = category_template_negative(ds, o, ds.items_by_category, ds.outfit_sets, rng)
         if negative is None:
             warnings.warn(f"no category-template negative found for outfit {o}; skipping")
             continue
@@ -266,11 +261,7 @@ def batch_loss(
         l_comp = pairwise(s_pos, s_neg, cfg.lambda_comp)
 
     if cfg.l2 > 0:
-        sq = [ad.sum_(p * p) for p in m.params.values()]
-        total_sq = sq[0]
-        for part in sq[1:]:
-            total_sq = total_sq + part
-        terms.append(Tensor(np.asarray(cfg.l2, dtype=m.dtype)) * total_sq)
+        terms.append(Tensor(np.asarray(cfg.l2, dtype=m.dtype)) * ad.sum_squares(m.params.values()))
 
     if not terms:
         raise ValueError("batch contains no triples and l2 is zero")
