@@ -326,6 +326,54 @@ class Segments:
         self.ids = ordered[self.starts]
 
 
+class RunGroups:
+    """The runs of a ``Segments`` grouped by length, as sliced-ELLPACK
+    sparse formats group rows, so that a sum over every run is one dense
+    batched product per length.
+
+    ``perm`` lists the positions of the index run by run, with runs of one
+    length adjacent.  Group ``(offset, n, k)`` is ``n`` runs of length
+    ``k`` at ``perm[offset:offset + n * k]``; ``ids`` holds the bucket of
+    each grouped run, group by group.  The lengths are distinct and sum to
+    at most ``len(index)``, so there are at most sqrt(2 len(index)) groups.
+    When ``within`` is given, ``perm`` indexes arrays already taken through
+    the permutation ``within``.
+    """
+
+    __slots__ = ("perm", "groups", "ids")
+
+    def __init__(self, segs: Segments, within: np.ndarray | None = None):
+        n_index = len(segs.index)
+        lengths = np.diff(segs.starts, append=n_index)
+        by_length = np.argsort(lengths, kind="stable")
+        lengths = lengths[by_length]
+        offsets = np.cumsum(lengths) - lengths
+        self.perm = np.arange(n_index) + np.repeat(segs.starts[by_length] - offsets, lengths)
+        if segs.order is not None:
+            self.perm = segs.order[self.perm]
+        if within is not None:
+            inverse = np.empty_like(within)
+            inverse[within] = np.arange(len(within))
+            self.perm = inverse[self.perm]
+        ks, first, counts = np.unique(lengths, return_index=True, return_counts=True)
+        self.groups = [(int(o), int(n), int(k)) for o, n, k in zip(offsets[first], counts, ks)]
+        self.ids = segs.ids[by_length]
+
+
+class EdgeLayout:
+    """One level's edges grouped by in-degree for ``edge_sum``: ``tgt``
+    groups the target runs, ``src`` groups the source runs over arrays in
+    ``tgt.perm`` order, and ``src_rows`` is the source of each edge in that
+    order."""
+
+    __slots__ = ("tgt", "src", "src_rows")
+
+    def __init__(self, src: np.ndarray, by_tgt: Segments, by_src: Segments):
+        self.tgt = RunGroups(by_tgt)
+        self.src = RunGroups(by_src, within=self.tgt.perm)
+        self.src_rows = src[self.tgt.perm]
+
+
 def _segments(segments) -> Segments:
     return segments if isinstance(segments, Segments) else Segments(segments)
 
@@ -373,34 +421,52 @@ def edge_sum(alpha: Tensor, x: Tensor, edges) -> Tensor:
     """Weighted neighbour sum ``out[h, t] = sum over edges e into t of
     alpha[h, e] * x[src[e]]``, shape (heads, n_tgt, d).
 
-    ``edges`` is a ``graph.LevelEdges`` (target-sorted ``tgt``/``src``,
-    ``n_tgt`` and the ``by_tgt``/``by_src`` segments); ``alpha`` is
-    (heads, n_edges) and ``x`` is (n_src, d).  No (heads, n_edges, d)
-    array is built: each head is reduced on its own.  Per-edge rows are
-    held feature-major, (d, n_edges), because ``reduceat`` over short runs
-    is several times faster along the contiguous axis.
+    ``edges`` is a ``graph.LevelEdges``; ``alpha`` is (heads, n_edges) and
+    ``x`` is (n_src, d).  Over the level's ``EdgeLayout`` the n targets of
+    in-degree k are one batched product of their (n, heads, k) weights by
+    their (n, k, d) source rows, and the backward is one product per group
+    too, so no (heads, n_edges, d) array is built.
     """
-    a = alpha.data
-    xs = np.take(np.ascontiguousarray(x.data.T), edges.src, axis=1)  # (d, n_edges)
-    out = np.zeros((a.shape[0], edges.n_tgt, xs.shape[0]), dtype=np.result_type(a, xs))
-    for h in range(a.shape[0]):
-        _segment_reduce(np.add, xs * a[h], edges.by_tgt, out[h].T, axis=1)
+    layout = edges.layout
+    tgt, src = layout.tgt, layout.src
+    a = np.take(alpha.data, tgt.perm, axis=1)  # (heads, n_edges), grouped
+    xs = np.take(x.data, layout.src_rows, axis=0)  # (n_edges, d), grouped
+    heads, d = a.shape[0], xs.shape[1]
+    rows = np.empty((len(tgt.ids), heads, d), dtype=np.result_type(a, xs))
+    r = 0
+    for off, n, k in tgt.groups:
+        block = slice(off, off + n * k)
+        np.matmul(a[:, block].reshape(heads, n, k).transpose(1, 0, 2),
+                  xs[block].reshape(n, k, d), out=rows[r:r + n])
+        r += n
+    out = np.zeros((heads, edges.n_tgt, d), dtype=rows.dtype)
+    out[:, tgt.ids] = rows.transpose(1, 0, 2)
 
     def backward(g):
-        ga = np.empty_like(a) if alpha.requires_grad else None
-        gx = None
-        for h in range(a.shape[0]):
-            g_edge = np.take(np.ascontiguousarray(g[h].T), edges.tgt, axis=1)  # (d, n_edges)
+        g_rows = np.take(g, tgt.ids, axis=1)  # (heads, n_rows, d)
+        ga = np.empty_like(alpha.data) if alpha.requires_grad else None
+        g_edge = np.empty_like(xs, dtype=np.result_type(a, g)) if x.requires_grad else None
+        r = 0
+        for off, n, k in tgt.groups:
+            block = slice(off, off + n * k)
+            g_blk = g_rows[:, r:r + n].transpose(1, 0, 2)  # (n, heads, d)
             if ga is not None:
-                ga[h] = np.einsum("de,de->e", g_edge, xs)
-            if x.requires_grad:
-                g_edge *= a[h]
-                if gx is None:
-                    gx = g_edge
-                else:
-                    gx += g_edge
-        if gx is not None:
-            gx = _segment_reduce(np.add, gx, edges.by_src, np.zeros_like(x.data).T, axis=1).T
+                ga_blk = np.matmul(g_blk, xs[block].reshape(n, k, d).transpose(0, 2, 1))
+                ga[:, tgt.perm[block]] = ga_blk.transpose(1, 0, 2).reshape(heads, n * k)
+            if g_edge is not None:
+                np.matmul(a[:, block].reshape(heads, n, k).transpose(1, 2, 0), g_blk,
+                          out=g_edge[block].reshape(n, k, d))
+            r += n
+        gx = None
+        if g_edge is not None:
+            sums = np.empty((len(src.ids), d), dtype=g_edge.dtype)
+            r = 0
+            for off, n, k in src.groups:  # sources of out-degree k
+                by_src = np.take(g_edge, src.perm[off:off + n * k], axis=0)
+                np.sum(by_src.reshape(n, k, d), axis=1, out=sums[r:r + n])
+                r += n
+            gx = np.zeros_like(x.data)
+            gx[src.ids] = sums
         return ga, gx
 
     return _make(out, (alpha, x), backward)

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -211,6 +212,29 @@ def cmd_ingest(rc: RunConfig) -> int:
     return 0
 
 
+def _save_replacing(model: ModelState, path: Path, extra: dict[str, np.ndarray]) -> None:
+    """Write a checkpoint to a temporary file beside ``path`` and move it
+    into place, so ``path`` always holds a whole checkpoint."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        save_checkpoint(model, tmp, extra=extra)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _truncate_log(log_path: Path, epochs: int) -> None:
+    """Keep the first ``epochs`` lines of the training log; raise
+    ``ValueError`` if it holds fewer."""
+    lines = log_path.read_bytes().splitlines(keepends=True) if log_path.exists() else []
+    if len(lines) < epochs:
+        raise ValueError(
+            f"cannot resume: {log_path} has {len(lines)} lines but the checkpoint "
+            f"is at epoch {epochs}"
+        )
+    os.truncate(log_path, sum(len(line) for line in lines[:epochs]))
+
+
 def cmd_train(rc: RunConfig, resume: bool = False) -> int:
     out_dir = Path(rc.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -234,28 +258,33 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
         start_epoch = int(extra["meta/epoch"][0]) + 1
         best_hr = np.float32(extra["meta/best_hr"][0])
         best_epoch = int(extra["meta/best_epoch"][0])
+        _truncate_log(log_path, start_epoch - 1)
 
+    # last.ckpt is the commit point of an epoch: best.ckpt and the log line
+    # are complete before it is replaced, so a crash anywhere leaves at least
+    # meta/epoch log lines, and --resume cuts the log back to exactly those.
     with open(log_path, "a" if resume else "w", encoding="utf-8") as log:
         for epoch in range(start_epoch, cfg.epochs + 1):
             stats = train_epoch(model, graph, ds, splits, cfg, optimizer, epoch)
             val = evaluate(
                 model, graph, ds, splits, seed=rc.seed, k=rc.k, on="val", include_compat=False
             )
-            log.write(
-                f"{epoch},{stats.l_rec:.10f},{stats.l_comp:.10f},{stats.l_total:.10f},"
-                f"{val.hr:.10f},{val.ndcg:.10f}\n"
-            )
             hr32 = np.float32(val.hr)
             if hr32 >= best_hr:  # ties go to the later, longer-trained epoch
                 best_hr = hr32
                 best_epoch = epoch
-                save_checkpoint(
-                    model, best_path, extra={"meta/epoch": np.array([epoch], dtype=np.float32)}
+                _save_replacing(
+                    model, best_path, {"meta/epoch": np.array([epoch], dtype=np.float32)}
                 )
-            save_checkpoint(
+            log.write(
+                f"{epoch},{stats.l_rec:.10f},{stats.l_comp:.10f},{stats.l_total:.10f},"
+                f"{val.hr:.10f},{val.ndcg:.10f}\n"
+            )
+            log.flush()
+            _save_replacing(
                 model,
                 last_path,
-                extra={
+                {
                     **optimizer.state_arrays(),
                     "meta/epoch": np.array([epoch], dtype=np.float32),
                     "meta/best_hr": np.array([best_hr], dtype=np.float32),

@@ -116,7 +116,9 @@ class ModelState:
                     f"parameter {name!r}: checkpoint shape {arrays[name].shape} "
                     f"!= model shape {p.data.shape}"
                 )
-            p.data = np.ascontiguousarray(arrays[name], dtype=self.dtype)
+            # A copy, so the optimizer's in-place steps never write into
+            # the caller's arrays.
+            p.data = np.array(arrays[name], dtype=self.dtype, order="C")
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Segments
+from .autodiff import EdgeLayout, Segments
 from .dataio import Dataset, Splits, validate_dataset
 
 
@@ -61,11 +61,12 @@ class LevelEdges:
 
     ``tgt``/``src`` are sorted by target; ``by_tgt`` holds the runs of each
     non-empty target segment and ``by_src`` the stable source-sorted
-    permutation with its runs.  Raises ``ValueError`` unless the edges are
-    target-sorted with every target in ``[0, n_tgt)``.
+    permutation with its runs.  ``layout``, the edges grouped by in-degree
+    for ``edge_sum``, is built on first use.  Raises ``ValueError`` unless
+    the edges are target-sorted with every target in ``[0, n_tgt)``.
     """
 
-    __slots__ = ("tgt", "src", "n_tgt", "by_tgt", "by_src")
+    __slots__ = ("tgt", "src", "n_tgt", "by_tgt", "by_src", "_layout")
 
     def __init__(self, tgt, src, n_tgt: int):
         tgt = np.asarray(tgt, dtype=np.int64)
@@ -79,6 +80,13 @@ class LevelEdges:
             raise ValueError(f"edge targets must lie in [0, {n_tgt})")
         self.tgt, self.src, self.n_tgt = tgt, src, int(n_tgt)
         self.by_src = Segments(src)
+        self._layout = None
+
+    @property
+    def layout(self) -> EdgeLayout:
+        if self._layout is None:
+            self._layout = EdgeLayout(self.src, self.by_tgt, self.by_src)
+        return self._layout
 
 
 @dataclass(frozen=True, eq=False)

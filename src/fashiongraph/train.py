@@ -174,22 +174,36 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
 
     # With q the positions of a user's known outfits, known outfit i has
     # q[i] - i unknown ones before it, so the k-th unknown outfit (from 0)
-    # sits at k + #{i : q[i] - i <= k}: O(|known|) per user, O(log) per pair.
-    shifted_by_user: dict[int, np.ndarray] = {}
-    rec_users, rec_pos, rec_neg = [], [], []
+    # sits at k + #{i : q[i] - i <= k}.  Each user's q - i is one block of
+    # ``shifted``, raised by block * stride so the blocks stay apart: one
+    # searchsorted then counts for every pair, and one ``integers`` call
+    # over the kept pairs gives the same draws as one call per pair.
+    n_outfits = len(all_outfits)
+    stride = n_outfits + 1
+    block_of: dict[int, int] = {}
+    blocks: list[np.ndarray] = []
+    rec_users, rec_pos, rec_block, n_unknown = [], [], [], []
     for u, o in split.pairs("train"):
-        shifted = shifted_by_user.get(u)
-        if shifted is None:
+        b = block_of.get(u)
+        if b is None:
             q = np.searchsorted(all_outfits, sorted(split.user_known(u)))
-            shifted = shifted_by_user[u] = q - np.arange(len(q))
-        n_unknown = len(all_outfits) - len(shifted)
-        if n_unknown == 0:
+            b = block_of[u] = len(blocks)
+            blocks.append(q - np.arange(len(q)) + b * stride)
+        n_unk = n_outfits - len(blocks[b])
+        if n_unk == 0:
             warnings.warn(f"user {u} interacted with every outfit; skipping triple")
             continue
-        k = int(rng.integers(n_unknown))
         rec_users.append(u)
         rec_pos.append(o)
-        rec_neg.append(int(all_outfits[k + np.searchsorted(shifted, k, side="right")]))
+        rec_block.append(b)
+        n_unknown.append(n_unk)
+    rec_neg = np.zeros(0, dtype=np.int64)
+    if rec_users:
+        k = rng.integers(np.array(n_unknown))
+        block = np.array(rec_block)
+        block_starts = np.cumsum([0] + [len(q) for q in blocks])
+        before = np.searchsorted(np.concatenate(blocks), k + block * stride, side="right")
+        rec_neg = all_outfits[k + before - block_starts[block]]
 
     comp_pos, comp_neg = [], []
     for o in sorted(ds.outfits):
@@ -203,7 +217,7 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
     return TripleBatch(
         rec_users=np.array(rec_users, dtype=np.int64),
         rec_pos=np.array(rec_pos, dtype=np.int64),
-        rec_neg=np.array(rec_neg, dtype=np.int64),
+        rec_neg=rec_neg,
         comp_pos=np.array(comp_pos, dtype=np.int64),
         comp_neg=tuple(comp_neg),
     )
@@ -292,6 +306,11 @@ class Adam:
         return cls(lr=cfg.lr)
 
     def step(self, model: ModelState):
+        """One update of every parameter that has a gradient, in place:
+        ``m``, ``v`` and ``p.data`` keep their buffers, and each value is
+        bit for bit that of the textbook expressions
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -302,11 +321,20 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g_sq = (1.0 - self.beta2) * g
+            g_sq *= g
+            v *= self.beta2
+            v += g_sq
+            denom = np.divide(v, bc2, out=g_sq)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / bc1
+            update *= self.lr
+            update /= denom
+            p.data -= update
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         arrays = {"opt/t": np.array([self.t], dtype=np.float32)}
