@@ -37,8 +37,9 @@ from .train import Adam, TrainConfig, TrainingDivergedError, make_model, train_e
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    seed: int
+class RunConfig(TrainConfig):
+    """``TrainConfig``'s training keys plus a run's data and output keys."""
+
     mode: str = "synthetic"  # synthetic | files
     out_dir: str = "out"
     k: int = 10
@@ -62,24 +63,9 @@ class RunConfig:
     synth_purity: float = 0.95
     synth_noise: float = 0.2
     synth_unused_fraction: float = 0.2
-    # training
-    epochs: int = 50
-    batch_size: int = 512
-    lr: float = 0.001
-    l2: float = 1e-4
-    dropout_embed: float = 0.2
-    dropout_attn: float = 0.3
-    heads: int = 4
-    r_views: int = 6
-    d: int = 64
-    d_h: int = 256
-    view_hidden: int = 32
-    lambda_rec: float = 1.0
-    lambda_comp: float = 1.0
-    dtype: str = "float64"
 
     def train_config(self) -> TrainConfig:
-        """The training keys of this config; each ``TrainConfig`` field is one."""
+        """The training keys of this config as a plain ``TrainConfig``."""
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def synthetic_config(self) -> SyntheticConfig:
@@ -201,10 +187,8 @@ def cmd_ingest(rc: RunConfig) -> int:
         counts[ds.categories[item.category]] += 1
     for name in ds.categories:
         print(f"  {name}: {counts[name]}")
-    pair_counts: dict[tuple[int, int], int] = {}
-    for (c_i, c_j), n in graph.category_graph.co_counts.items():
-        key = (min(c_i, c_j), max(c_i, c_j))
-        pair_counts[key] = n
+    # co(c_i, c_j) = co(c_j, c_i): one entry per unordered pair
+    pair_counts = {(min(p), max(p)): n for p, n in graph.category_graph.co_counts.items()}
     top = sorted(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
     print("top-5 co-occurring category pairs:")
     for (c_i, c_j), n in top:

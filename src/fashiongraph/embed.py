@@ -260,7 +260,7 @@ def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint's named arrays; raise ``ValueError`` naming ``path``
-    for a file that is not a whole, well-formed checkpoint."""
+    for a file that is not a whole, well-formed checkpoint of finite values."""
     blob = Path(path).read_bytes()
     offset = len(CHECKPOINT_MAGIC)
 
@@ -292,10 +292,15 @@ def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise ValueError(f"{path}: section {k} name is not utf-8") from None
         (ndim,) = u32s(1, f"section {name!r} rank")
+        if ndim > 32:  # NumPy 1.x arrays hold at most 32 dimensions
+            raise ValueError(f"{path}: section {name!r} has rank {ndim}")
         shape = u32s(ndim, f"section {name!r} shape")
         count = math.prod(shape)
         start = take(4 * count, f"section {name!r} payload")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape)
+        # min and max are NaN or infinite iff some value is.
+        if count and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise ValueError(f"{path}: section {name!r} holds a non-finite value")
         out[name] = arr.copy()
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
@@ -313,7 +318,11 @@ def save_checkpoint(m: ModelState, path: str | Path, extra: dict[str, np.ndarray
 
 
 def load_checkpoint(m: ModelState, path: str | Path) -> dict[str, np.ndarray]:
-    """Load parameters into ``m``; returns any non-parameter extra sections."""
+    """Load parameters into ``m``; returns any non-parameter extra sections.
+    Raises ``ValueError`` naming ``path`` for a checkpoint that does not fit ``m``."""
     arrays = read_arrays(path)
-    m.load_arrays({k: v for k, v in arrays.items() if k in m.params})
+    try:
+        m.load_arrays({k: v for k, v in arrays.items() if k in m.params})
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from None
     return {k: v for k, v in arrays.items() if k not in m.params}

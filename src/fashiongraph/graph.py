@@ -14,7 +14,7 @@ first category.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -61,24 +61,30 @@ class LevelEdges:
 
     ``tgt``/``src`` are sorted by target; ``by_tgt`` holds the runs of each
     non-empty target segment and ``by_src`` the stable source-sorted
-    permutation with its runs.  ``layout``, the edges grouped by in-degree
-    for ``edge_sum``, is built on first use.  Raises ``ValueError`` unless
-    the edges are target-sorted with every target in ``[0, n_tgt)``.
+    permutation with its runs.  ``prior`` is None or the per-edge weights w
+    that the attention logits add as ln(w + eps).  ``layout``, the edges
+    grouped by in-degree for ``edge_sum``, is built on first use.  Raises
+    ``ValueError`` unless the edges are target-sorted with every target in
+    ``[0, n_tgt)`` and a prior has one weight per edge.
     """
 
-    __slots__ = ("tgt", "src", "n_tgt", "by_tgt", "by_src", "_layout")
+    __slots__ = ("tgt", "src", "n_tgt", "prior", "by_tgt", "by_src", "_layout")
 
-    def __init__(self, tgt, src, n_tgt: int):
+    def __init__(self, tgt, src, n_tgt: int, prior=None):
         tgt = np.asarray(tgt, dtype=np.int64)
         src = np.asarray(src, dtype=np.int64)
         if tgt.ndim != 1 or tgt.shape != src.shape:
             raise ValueError("tgt and src must be 1-D arrays of one length")
+        if prior is not None:
+            prior = np.asarray(prior, dtype=np.float64)
+            if prior.shape != tgt.shape:
+                raise ValueError(f"prior has shape {prior.shape}, expected ({len(tgt)},)")
         self.by_tgt = Segments(tgt)
         if self.by_tgt.order is not None:
             raise ValueError("edges must be sorted by target")
         if len(tgt) and (tgt[0] < 0 or tgt[-1] >= n_tgt):
             raise ValueError(f"edge targets must lie in [0, {n_tgt})")
-        self.tgt, self.src, self.n_tgt = tgt, src, int(n_tgt)
+        self.tgt, self.src, self.n_tgt, self.prior = tgt, src, int(n_tgt), prior
         self.by_src = Segments(src)
         self._layout = None
 
@@ -152,24 +158,15 @@ def category_cooccurrence_weights(ds: Dataset) -> CategoryGraph:
     cat_counts: dict[int, int] = {}
     for members in ds.outfits.values():
         cats = [ds.items[i].category for i in members]
-        present = set(cats)
-        for c in present:
+        for c in set(cats):
             cat_counts[c] = cat_counts.get(c, 0) + 1
-        pairs = {(a, b) for a in present for b in present if a != b}
-        for c, n in zip(*np.unique(cats, return_counts=True)):
-            if n >= 2:
-                pairs.add((int(c), int(c)))
-        for pair in pairs:
+        # Ordered pairs of distinct positions: (c, c) only when c repeats.
+        for pair in set(permutations(cats, 2)):
             co[pair] = co.get(pair, 0) + 1
-    weights: dict[tuple[int, int], float] = {}
-    by_row: dict[int, list[int]] = {}
-    for (c_i, c_j) in co:
-        by_row.setdefault(c_i, []).append(c_j)
-    for c_i, partners in by_row.items():
-        ratios = {c_j: co[(c_i, c_j)] / cat_counts[c_j] for c_j in partners}
-        total = sum(ratios.values())
-        for c_j, r in ratios.items():
-            weights[(c_i, c_j)] = r / total
+    totals: dict[int, float] = {}
+    for (c_i, c_j), n in co.items():
+        totals[c_i] = totals.get(c_i, 0.0) + n / cat_counts[c_j]
+    weights = {(c_i, c_j): n / cat_counts[c_j] / totals[c_i] for (c_i, c_j), n in co.items()}
     return CategoryGraph(weights=weights, co_counts=co, cat_counts=cat_counts)
 
 
@@ -194,23 +191,17 @@ def build_item_item_edges(
     outfit containing it; a pair co-occurring in several outfits yields one
     edge.  Edges are sorted by (target, source) so summation order is fixed.
     """
-    pairs: set[tuple[int, int]] = set()
-    for members in ds.outfits.values():
-        for i in members:
-            for j in members:
-                if i != j:
-                    pairs.add((item_index[i], item_index[j]))
-    ordered = sorted(pairs)
-    tgt = np.array([p[0] for p in ordered], dtype=np.int64)
-    src = np.array([p[1] for p in ordered], dtype=np.int64)
-    ids = list(item_index)
-    weight = np.array(
-        [
-            cg.weight(ds.items[ids[t]].category, ds.items[ids[s]].category)
-            for t, s in ordered
-        ],
-        dtype=np.float64,
-    )
+    pairs = {
+        (item_index[i], item_index[j])
+        for members in ds.outfits.values()
+        for i, j in permutations(members, 2)
+    }
+    tgt, src = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T.copy()
+    table = np.zeros((len(ds.categories), len(ds.categories)))
+    for pair, w in cg.weights.items():
+        table[pair] = w
+    cats = np.array([ds.items[i].category for i in item_index], dtype=np.int64)
+    weight = table[cats[tgt], cats[src]]
     return ItemItemEdges(tgt=tgt, src=src, weight=weight)
 
 
@@ -228,12 +219,7 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
     outfit_index = {int(o): i for i, o in enumerate(outfit_ids)}
     item_index = {int(i): k for k, i in enumerate(item_ids)}
 
-    if splits is None:
-        edge_pairs = sorted(ds.interactions)
-    else:
-        edge_pairs = sorted(
-            (u, o) for u, outfits in splits.train.items() for o in outfits
-        )
+    edge_pairs = sorted(ds.interactions) if splits is None else splits.pairs("train")
     user_outfits: dict[int, list[int]] = {int(u): [] for u in user_ids}
     outfit_users: dict[int, list[int]] = {int(o): [] for o in outfit_ids}
     for u, o in edge_pairs:
@@ -257,7 +243,9 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
     cg = category_cooccurrence_weights(ds)
     item_edges = build_item_item_edges(ds, cg, item_index)
     levels = {
-        "item_item": LevelEdges(item_edges.tgt, item_edges.src, len(item_ids)),
+        "item_item": LevelEdges(
+            item_edges.tgt, item_edges.src, len(item_ids), prior=item_edges.weight
+        ),
         "item_outfit": LevelEdges(oi_tgt, oi_src, len(outfit_ids)),
         "outfit_user": LevelEdges(uo_tgt, uo_src, len(user_ids)),
     }

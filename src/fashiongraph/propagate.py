@@ -2,9 +2,9 @@
 
 Each level refines the target embeddings from their neighbors:
 
-    logit(t, s)  = LeakyReLU(a_k . [W_k h_t || W_k h_s])   (+ ln(w + eps) for
-                   item-item edges, where w is the category co-occurrence
-                   weight, acting as a multiplicative prior on attention)
+    logit(t, s)  = LeakyReLU(a_k . [W_k h_t || W_k h_s])   (+ ln(w + eps) on a
+                   level whose edges carry a prior: the item-item category
+                   co-occurrence weight w, a multiplicative prior on attention)
     alpha(t, s)  = softmax over s in N(t)
     item level:  h_i' = h_i + LeakyReLU(sum_j alpha W_m (h_i * h_j))
     outfit/user: h_t' = h_t + LeakyReLU(sum_s alpha W_m h_s)
@@ -61,7 +61,6 @@ def attention_logits(
     h_tgt: Tensor,
     h_src: Tensor,
     edges: LevelEdges,
-    bias: np.ndarray | None = None,
 ) -> Tensor:
     """Pre-softmax attention logits of all heads, shape (heads, n_edges).
 
@@ -80,9 +79,9 @@ def attention_logits(
         t_src = ad.matmul(h_src, ad.narrow(v, 2, 1, 2))
     pair = ad.gather(t_tgt, edges.by_tgt, axis=1) + ad.gather(t_src, edges.by_src, axis=1)
     logits = ad.leaky_relu(ad.reshape(pair, (heads, len(edges.tgt))), m.dims.leaky_slope)
-    if bias is not None:
-        ln_bias = np.log(np.asarray(bias, dtype=np.float64) + COOCCURRENCE_EPS)
-        logits = logits + Tensor(ln_bias.astype(m.dtype))
+    if edges.prior is not None:
+        ln_prior = np.log(edges.prior + COOCCURRENCE_EPS)
+        logits = logits + Tensor(ln_prior.astype(m.dtype))
     return logits
 
 
@@ -92,7 +91,6 @@ def edge_attention_tensor(
     h_tgt: Tensor,
     h_src: Tensor,
     edges: LevelEdges,
-    bias: np.ndarray | None = None,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -104,7 +102,7 @@ def edge_attention_tensor(
         per_edge = np.repeat(1.0 / lengths.astype(m.dtype), lengths)
         alpha = Tensor(np.broadcast_to(per_edge, (heads, n_edges)).copy())
     else:
-        logits = attention_logits(m, level, h_tgt, h_src, edges, bias=bias)
+        logits = attention_logits(m, level, h_tgt, h_src, edges)
         alpha = ad.segment_softmax(logits, edges.by_tgt, edges.n_tgt, axis=1)
     if dropout_p > 0.0:
         if rng is None:
@@ -131,14 +129,13 @@ def attention_weights(
     bias: np.ndarray | None = None,
 ) -> np.ndarray:
     """Normalized attention of one head as a plain array (n_edges,);
-    ``h_targets`` holds the ``n_targets`` target rows."""
+    ``h_targets`` holds the ``n_targets`` target rows, ``bias`` the edge prior."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if not 0 <= head < m.dims.heads:
         raise ValueError(f"head {head} out of range")
-    _, alpha = _propagate_level(
-        m, level, h_targets, h_sources, LevelEdges(tgt_idx, src_idx, n_targets), bias=bias
-    )
+    edges = LevelEdges(tgt_idx, src_idx, n_targets, prior=bias)
+    _, alpha = _propagate_level(m, level, h_targets, h_sources, edges)
     return alpha[head].copy()
 
 
@@ -148,19 +145,15 @@ def _propagate_level_tensor(
     h_tgt: Tensor,
     h_src: Tensor,
     edges: LevelEdges,
-    bias: np.ndarray | None = None,
-    elementwise: bool = False,
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
-    alpha = edge_attention_tensor(
-        m, level, h_tgt, h_src, edges, bias=bias, dropout_p=dropout_p, rng=rng
-    )
+    alpha = edge_attention_tensor(m, level, h_tgt, h_src, edges, dropout_p=dropout_p, rng=rng)
     W_msg = ad.transpose(m.params[f"msg_w_{level}"], (1, 0))
-    # W_m is linear, so it is applied per node, never per edge: at the item
-    # level sum_s alpha W_m (h_t * h_s) = W_m (h_t * sum_s alpha h_s); at
+    # W_m is linear, so it is applied per node, never per edge: at the item-
+    # item level sum_s alpha W_m (h_t * h_s) = W_m (h_t * sum_s alpha h_s); at
     # the other levels each source is transformed once before the sum.
-    if elementwise:
+    if level == "item_item":
         agg = ad.matmul(h_tgt * ad.edge_sum(alpha, h_src, edges), W_msg)  # (heads, n_tgt, d)
     else:
         agg = ad.edge_sum(alpha, ad.matmul(h_src, W_msg), edges)
@@ -169,7 +162,7 @@ def _propagate_level_tensor(
 
 
 def _propagate_level(
-    m: ModelState, level: str, h_tgt: np.ndarray, h_src: np.ndarray, *args, **kwargs
+    m: ModelState, level: str, h_tgt: np.ndarray, h_src: np.ndarray, edges: LevelEdges
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_propagate_level_tensor`` on plain embedding arrays, without a tape;
     returns (updated targets, per-head attention) as arrays.  One array passed
@@ -177,7 +170,7 @@ def _propagate_level(
     with ad.no_grad():
         t = Tensor(np.ascontiguousarray(h_tgt, dtype=m.dtype))
         s = t if h_src is h_tgt else Tensor(np.ascontiguousarray(h_src, dtype=m.dtype))
-        out, alpha = _propagate_level_tensor(m, level, t, s, *args, **kwargs)
+        out, alpha = _propagate_level_tensor(m, level, t, s, edges)
     return out.data, alpha.data
 
 
@@ -188,10 +181,8 @@ def propagate_item_item(
 
     Returns (updated embeddings, per-head attention weights).
     """
-    level = LevelEdges(edges.tgt, edges.src, h_items.shape[0])
-    return _propagate_level(
-        m, "item_item", h_items, h_items, level, bias=edges.weight, elementwise=True
-    )
+    level = LevelEdges(edges.tgt, edges.src, h_items.shape[0], prior=edges.weight)
+    return _propagate_level(m, "item_item", h_items, h_items, level)
 
 
 def propagate_item_outfit(
@@ -248,8 +239,7 @@ def forward_tensors(
     attn_p = p_attn if training else 0.0
     levels = graph.levels
     h_item_star, alpha_ii = _propagate_level_tensor(
-        m, "item_item", h_item, h_item, levels["item_item"],
-        bias=graph.item_edges.weight, elementwise=True, dropout_p=attn_p, rng=rng,
+        m, "item_item", h_item, h_item, levels["item_item"], dropout_p=attn_p, rng=rng
     )
     h_outfit_star, alpha_io = _propagate_level_tensor(
         m, "item_outfit", h_outfit, h_item_star, levels["item_outfit"],

@@ -371,15 +371,13 @@ def train_epoch(
     order_rng = substream(cfg.seed, "shuffle", epoch)
     rec_order = order_rng.permutation(batch.n_rec)
     comp_order = order_rng.permutation(batch.n_comp)
-    n_batches = max(1, math.ceil(batch.n_rec / cfg.batch_size)) if batch.n_rec else 1
+    n_batches = max(1, math.ceil(batch.n_rec / cfg.batch_size))
     rec_chunks = np.array_split(rec_order, n_batches)
     comp_chunks = np.array_split(comp_order, n_batches)
 
     rec_sum = comp_sum = total_sum = 0.0
     n_rec = n_comp = 0
-    for b in range(n_batches):
-        rec_sel = rec_chunks[b] if batch.n_rec else np.array([], dtype=np.int64)
-        comp_sel = comp_chunks[b] if batch.n_comp else np.array([], dtype=np.int64)
+    for b, (rec_sel, comp_sel) in enumerate(zip(rec_chunks, comp_chunks)):
         minibatch = TripleBatch(
             rec_users=batch.rec_users[rec_sel],
             rec_pos=batch.rec_pos[rec_sel],

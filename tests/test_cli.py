@@ -68,6 +68,11 @@ class TestIngest:
         assert "categories: 6" in out
         assert "top-5 co-occurring category pairs:" in out
 
+    def test_bad_training_key_exits_one(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, epochs=0)
+        assert main(["ingest", "--config", str(path)]) == 1
+        assert "epochs must be positive" in capsys.readouterr().err
+
     def test_files_mode_counts(self, tmp_path, capsys):
         ds = tiny_dataset()
         paths = write_dataset(ds, tmp_path / "data")

@@ -175,6 +175,16 @@ def test_level_edges_reject_unsorted_and_out_of_range_targets():
         LevelEdges(np.array([0, 1]), np.array([0]), 3)
 
 
+def test_level_edges_reject_a_prior_of_the_wrong_length():
+    tgt, src = np.array([0, 0, 1]), np.array([1, 2, 0])
+    with pytest.raises(ValueError, match="prior"):
+        LevelEdges(tgt, src, 2, prior=np.ones(2))
+    with pytest.raises(ValueError, match="prior"):
+        LevelEdges(tgt, src, 2, prior=np.ones((3, 1)))
+    np.testing.assert_array_equal(LevelEdges(tgt, src, 2, prior=[0.5, 0.5, 1]).prior, [0.5, 0.5, 1])
+    assert LevelEdges(tgt, src, 2).prior is None
+
+
 def test_graph_levels_hold_the_graph_edges(tiny_ds):
     graph = build_fashion_graph(tiny_ds)
     assert graph.levels["item_outfit"].tgt is graph.oi_tgt

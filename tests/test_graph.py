@@ -4,6 +4,7 @@ import pytest
 from fashiongraph.dataio import Dataset, SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.graph import (
     build_fashion_graph,
+    build_item_item_edges,
     category_cooccurrence_weights,
     outfit_item_subgraph,
 )
@@ -225,3 +226,55 @@ def test_item_item_union_edges(tiny_ds):
         s = int(graph.item_ids[graph.item_edges.src[e]])
         expected_w = cg.weight(tiny_ds.items[t].category, tiny_ds.items[s].category)
         assert graph.item_edges.weight[e] == expected_w
+
+
+def random_corpora():
+    """The corpora of ``test_row_normalization_random_corpora``: categories repeat."""
+    cats = ["a", "b", "c", "d", "e"]
+    rng = np.random.default_rng(0)
+    for _ in range(25):
+        comp = [
+            list(rng.choice(cats, size=rng.integers(2, 5), replace=True))
+            for _ in range(rng.integers(1, 8))
+        ]
+        yield corpus(comp, cats)
+
+
+def nested_loop_tables(ds):
+    """co(c_i, c_j), w(c_i, c_j) and the item-item edges, one pair at a time."""
+    cats = [[ds.items[i].category for i in members] for members in ds.outfits.values()]
+    n = len(ds.categories)
+    o = {c: sum(c in cs for cs in cats) for c in range(n)}
+    co = {}
+    for a in range(n):
+        for b in range(n):
+            count = sum(cs.count(a) >= 2 if a == b else a in cs and b in cs for cs in cats)
+            if count:
+                co[(a, b)] = count
+    weights = {}
+    for a in range(n):
+        row = {b: co[(a, b)] / o[b] for b in range(n) if (a, b) in co}
+        weights.update({(a, b): r / sum(row.values()) for b, r in row.items()})
+    ids = sorted(ds.items)
+    edges = [
+        (t, s, weights.get((ds.items[i].category, ds.items[j].category), 0.0))
+        for t, i in enumerate(ids)
+        for s, j in enumerate(ids)
+        if i != j and any(i in members and j in members for members in ds.outfits.values())
+    ]
+    return co, weights, edges
+
+
+def test_pair_tables_match_nested_loop_reference(tiny_ds):
+    datasets = [*random_corpora(), tiny_ds, generate_synthetic(SyntheticConfig(), seed=7)]
+    for ds in datasets:
+        co, weights, edges = nested_loop_tables(ds)
+        cg = category_cooccurrence_weights(ds)
+        assert cg.co_counts == co
+        assert cg.weights.keys() == weights.keys()
+        for pair, w in weights.items():
+            assert cg.weights[pair] == pytest.approx(w, rel=1e-12, abs=0.0)
+        item_edges = build_item_item_edges(ds, cg, {i: k for k, i in enumerate(sorted(ds.items))})
+        np.testing.assert_array_equal(item_edges.tgt, [t for t, _, _ in edges])
+        np.testing.assert_array_equal(item_edges.src, [s for _, s, _ in edges])
+        np.testing.assert_allclose(item_edges.weight, [w for _, _, w in edges], rtol=1e-12)

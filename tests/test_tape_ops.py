@@ -119,7 +119,7 @@ def test_folded_attention_logits_match_per_edge_reference(shared):
     h_src = h_tgt if shared else rng.normal(size=(n_src, dims.d))
     t = Tensor(h_tgt)
     s = t if shared else Tensor(h_src)
-    got = attention_logits(m, "item_item", t, s, LevelEdges(tgt, src, n_tgt), bias=bias).data
+    got = attention_logits(m, "item_item", t, s, LevelEdges(tgt, src, n_tgt, prior=bias)).data
     expected = reference_logits(m, "item_item", h_tgt, h_src, tgt, src, bias)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 

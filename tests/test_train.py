@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from fashiongraph.dataio import Dataset, SyntheticConfig, generate_synthetic, split_interactions
+from fashiongraph.dataio import (
+    Dataset,
+    Splits,
+    SyntheticConfig,
+    generate_synthetic,
+    split_interactions,
+)
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.train import (
     Adam,
@@ -212,6 +218,22 @@ class TestTrainEpoch:
                   for e in range(1, 51)]
         decreasing = sum(1 for a, b in zip(totals, totals[1:]) if b < a)
         assert decreasing / (len(totals) - 1) >= 0.90
+
+    def test_split_without_rec_triples_trains_on_compatibility_alone(self):
+        ds, splits, _, cfg, _ = self._setup(lr=0.0, dropout_embed=0.0, dropout_attn=0.0)
+        no_train = Splits(
+            train={u: frozenset() for u in splits.train}, val=splits.val, test=splits.test,
+            compat_negative_pool=splits.compat_negative_pool,
+        )
+        graph = build_fashion_graph(ds, no_train)
+        m = make_model(graph, ds, cfg)
+        stats = train_epoch(m, graph, ds, no_train, cfg, Adam.from_config(cfg), epoch=1)
+        batch = sample_negatives(ds, no_train, cfg.seed, 1)
+        assert batch.n_rec == stats.n_rec == 0 and stats.l_rec == 0.0
+        assert stats.n_comp == batch.n_comp > 0
+        loss, _, l_comp = batch_loss(m, graph, ds, batch, cfg, mode="eval")
+        assert stats.l_comp == pytest.approx(l_comp, abs=1e-12)
+        assert stats.l_total == pytest.approx(loss.item(), abs=1e-12)
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         ds, splits, graph, cfg, m = self._setup()
