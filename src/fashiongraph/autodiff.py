@@ -307,7 +307,9 @@ class Segments:
 
     ``order`` is the stable argsort of ``index`` (``None`` when the index is
     already sorted).  In that order run ``k`` starts at ``starts[k]`` and
-    belongs to bucket ``ids[k]``; empty buckets have no run.
+    belongs to bucket ``ids[k]``; empty buckets have no run.  An index in
+    ``[0, 65536)`` is sorted as ``uint16``, which NumPy radix-sorts; a
+    stable order is unique, so the permutation is the same.
     """
 
     __slots__ = ("index", "order", "starts", "ids")
@@ -318,7 +320,10 @@ class Segments:
             raise ValueError("a segment index must be 1-D")
         self.index, self.order, ordered = index, None, index
         if (index[1:] < index[:-1]).any():
-            self.order = np.argsort(index, kind="stable")
+            keys = index
+            if index.dtype.kind in "iu" and index.min() >= 0 and index.max() < 1 << 16:
+                keys = index.astype(np.uint16)
+            self.order = np.argsort(keys, kind="stable")
             ordered = index[self.order]
         new_run = np.ones(len(index), dtype=bool)
         np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])

@@ -299,9 +299,9 @@ def cmd_recommend(rc: RunConfig, checkpoint: str, user: int, k: int | None) -> i
     if user not in graph.user_index:
         raise KeyError(f"unknown user id {user}")
     prop = forward(graph, ds, model, mode="eval")
-    _, ranked, scores = next(ranked_outfits([user], prop, graph, splits))
     top_k = k if k is not None else rc.k
-    for rank, (oid, score) in enumerate(zip(ranked[:top_k], scores[:top_k]), start=1):
+    _, ranked, scores = next(ranked_outfits([user], prop, graph, splits, k=top_k))
+    for rank, (oid, score) in enumerate(zip(ranked, scores), start=1):
         print(f"{rank}\t{oid}\t{score:.10f}")
     return 0
 

@@ -1,10 +1,10 @@
 """Ranking and compatibility evaluation.
 
-Per user, every outfit outside the train/validation sets is ranked by the
-preference score (full ranking, no sampled candidate subset); HR, Recall,
-Precision, and NDCG are computed at k and averaged over users with at
-least one relevant outfit; scores come in user x outfit blocks of
-``RANK_BLOCK`` users.  Compatibility is measured by AUC of stored outfits
+Per user, every outfit outside the train/validation sets is scored by the
+preference score (no sampled candidate subset) and the top k of them are
+selected without sorting the rest; HR, Recall, Precision, and NDCG are
+computed at k and averaged over users with at least one relevant outfit;
+scores come in user x outfit blocks of ``RANK_BLOCK`` users.  Compatibility is measured by AUC of stored outfits
 against category-template negatives and by fill-in-the-blank accuracy: one
 outfit item is masked and the model must pick it from four candidates by
 compatibility score.  Item lists are drawn first, then scored in batches.
@@ -85,15 +85,35 @@ def auc(pos_scores, neg_scores) -> float:
     return float((below + not_above).sum() / 2.0 / (pos.size * neg.size))
 
 
+def _best_first(scores: np.ndarray, k: int | None) -> np.ndarray:
+    """Positions of ``scores`` best first, ties to the lower position, cut
+    to the first ``k`` (all when ``k`` is None): ``np.argsort(-scores,
+    kind="stable")[:k]``.  With more than ``k`` scores only those at least
+    as good as the k-th best, found by ``np.partition``, are sorted."""
+    negated = -scores
+    if k is not None and 0 < k < len(negated):
+        kth = np.partition(negated, k - 1)[k - 1]
+        if not np.isnan(kth):  # a NaN k-th value leaves nothing to cut on
+            best = np.flatnonzero(negated <= kth)
+            return best[np.argsort(negated[best], kind="stable")[:k]]
+    return np.argsort(negated, kind="stable")[:k]
+
+
 def ranked_outfits(
-    users, prop: PropagationOutput, graph: FashionGraph, split: Splits, exclude_val: bool = True
+    users,
+    prop: PropagationOutput,
+    graph: FashionGraph,
+    split: Splits,
+    exclude_val: bool = True,
+    k: int | None = None,
 ):
     """Yield (user, outfit ids best first, their scores) per user, in user
-    order, over the outfits outside train (and val, with ``exclude_val``).
+    order, over the outfits outside train (and val, with ``exclude_val``);
+    only the first ``k`` of them unless ``k`` is None.
 
     Scores are the user's row of its fixed RANK_BLOCK-user block of
-    h_user_star @ h_outfit_star.T; the stable sort over ascending ids sends
-    ties to the lower id, as ``order_candidates`` does.
+    h_user_star @ h_outfit_star.T; the order is a stable sort over ascending
+    ids, so ties go to the lower id, as ``order_candidates`` does.
     """
     outfit_ids = graph.outfit_ids.astype(np.int64)
     parts = (split.train, split.val) if exclude_val else (split.train,)
@@ -108,7 +128,7 @@ def ranked_outfits(
         keep[[graph.outfit_index[o] for part in parts for o in part.get(user, ())]] = False
         candidates = np.flatnonzero(keep)
         scores = block[row - start, candidates]
-        order = np.argsort(-scores, kind="stable")
+        order = _best_first(scores, k)
         yield user, outfit_ids[candidates[order]], scores[order]
 
 
@@ -173,11 +193,13 @@ def _fltb_candidates(
     for source in (pool_by_category.get(ds.items[true_item].category, ()), pool, None):
         if source is None:  # built only when the pool falls short
             source = sorted(set(ds.items) - set(members))
-        options = [i for i in source if i not in chosen and i != true_item]
+        options = source.tolist() if isinstance(source, np.ndarray) else list(source)
+        for taken in (true_item, *chosen):  # each source holds distinct ids
+            if taken in options:
+                options.remove(taken)
         while options and len(chosen) < 3:
-            pick = int(rng.choice(options))
-            chosen.append(pick)
-            options.remove(pick)
+            # the index rng.choice(options) draws, without rebuilding the list
+            chosen.append(options.pop(int(rng.integers(len(options)))))
         if len(chosen) == 3:
             break
     if len(chosen) < 3:
@@ -266,8 +288,10 @@ def evaluate(
     relevant_map = split.test if on == "test" else split.val
     users = [int(u) for u in graph.user_ids if relevant_map.get(int(u))]
     kept = []
-    for user, ranked, _ in ranked_outfits(users, prop, graph, split, exclude_val=on == "test"):
-        hr, recall, precision, ndcg = topk_metrics(ranked[:k].tolist(), relevant_map[user], k)
+    for user, ranked, _ in ranked_outfits(
+        users, prop, graph, split, exclude_val=on == "test", k=k
+    ):
+        hr, recall, precision, ndcg = topk_metrics(ranked.tolist(), relevant_map[user], k)
         kept.append(UserMetrics(user=user, hr=hr, recall=recall, precision=precision, ndcg=ndcg))
 
     auc_value = fltb_value = None

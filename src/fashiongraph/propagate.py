@@ -189,16 +189,16 @@ def propagate_item_outfit(
     graph: FashionGraph, h_items_star: np.ndarray, h_outfits: np.ndarray, m: ModelState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine outfit embeddings from their (updated) item embeddings."""
-    edges = LevelEdges(graph.oi_tgt, graph.oi_src, graph.n_outfits)
-    return _propagate_level(m, "item_outfit", h_outfits, h_items_star, edges)
+    level = graph.levels["item_outfit"]
+    return _propagate_level(m, "item_outfit", h_outfits, h_items_star, level)
 
 
 def propagate_outfit_user(
     graph: FashionGraph, h_outfits_star: np.ndarray, h_users: np.ndarray, m: ModelState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine user embeddings from their training-interaction outfits."""
-    edges = LevelEdges(graph.uo_tgt, graph.uo_src, graph.n_users)
-    return _propagate_level(m, "outfit_user", h_users, h_outfits_star, edges)
+    level = graph.levels["outfit_user"]
+    return _propagate_level(m, "outfit_user", h_users, h_outfits_star, level)
 
 
 def _dropout(x: Tensor, p: float, rng: np.random.Generator, dtype) -> Tensor:

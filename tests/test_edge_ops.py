@@ -110,6 +110,21 @@ def test_segments_layout():
     assert len(Segments(np.zeros(0, dtype=np.int64)).starts) == 0
 
 
+@pytest.mark.parametrize("top", [65535, 65536])
+def test_segments_order_is_the_int64_stable_argsort(top):
+    # Indexes in [0, 65536) are sorted as uint16; 65536 keeps the int64 sort.
+    index = np.random.default_rng(top).integers(0, 40, size=500)
+    index[[3, 250, 499]] = top
+    for dtype in (np.int64, np.int32):
+        segs = Segments(index.astype(dtype))
+        assert np.array_equal(segs.order, np.argsort(index, kind="stable"))
+        assert segs.ids.tolist() == sorted(set(index.tolist()))
+    negative = index - 20  # below zero: the int64 sort
+    assert np.array_equal(Segments(negative).order, np.argsort(negative, kind="stable"))
+    empty = Segments(np.zeros(0, dtype=np.int64))
+    assert empty.order is None and len(empty.starts) == 0
+
+
 @DTYPES
 def test_edge_sum_forward_and_backward_match_add_at(dtype):
     rng = np.random.default_rng(3)

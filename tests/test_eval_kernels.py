@@ -83,6 +83,95 @@ def test_block_ranking_equals_per_pair_order(seed):
             assert E.rank_outfits(u, p, graph, splits) == reference_ranking(u, p, graph, splits)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_top_k_is_the_head_of_the_full_ranking(seed):
+    ds, splits, graph, m, prop = world(seed)
+    rng = np.random.default_rng(seed)
+    # The integer-embedding world of test_block_ranking_equals_per_pair_order:
+    # exact ties everywhere, the cut at k among them.
+    h_user = rng.integers(-2, 3, size=prop.h_user_star.shape).astype(np.float64)
+    h_outfit = rng.integers(-2, 3, size=prop.h_outfit_star.shape).astype(np.float64)
+    h_outfit[1::3] = h_outfit[0:-1:3][: len(h_outfit[1::3])]
+    crowded = int(graph.user_ids[5])
+    train = dict(splits.train)
+    train[crowded] = frozenset(int(o) for o in graph.outfit_ids[:-4]) - splits.val.get(
+        crowded, frozenset()) - splits.test.get(crowded, frozenset())
+    splits = dataclasses.replace(splits, train=train)
+    users = [int(u) for u in graph.user_ids]
+    tied_at_cut = 0
+    for h_u, h_o in ((prop.h_user_star, prop.h_outfit_star), (h_user, h_outfit)):
+        p = dataclasses.replace(prop, h_user_star=h_u, h_outfit_star=h_o)
+        for exclude_val in (True, False):
+            full = {u: (r, s) for u, r, s in
+                    E.ranked_outfits(users, p, graph, splits, exclude_val=exclude_val)}
+            assert len(full[crowded][0]) < 10
+            longest = max(len(r) for r, _ in full.values())
+            for k in (1, 10, longest, longest + 3):
+                top = list(E.ranked_outfits(users, p, graph, splits, exclude_val, k=k))
+                assert [u for u, _, _ in top] == users
+                for u, ranked, scores in top:
+                    assert ranked.tolist() == full[u][0][:k].tolist()
+                    assert scores.tolist() == full[u][1][:k].tolist()
+            tied_at_cut += sum(len(s) > 10 and s[9] == s[10] for _, s in full.values())
+    assert tied_at_cut > 0
+
+
+def test_top_k_with_nan_scores_is_the_head_of_the_stable_sort():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        scores = rng.integers(-3, 4, size=rng.integers(1, 30)).astype(np.float64)
+        scores[rng.random(len(scores)) < 0.3] = np.nan
+        for k in range(1, len(scores) + 2):
+            expected = np.argsort(-scores, kind="stable")[:k]
+            assert E._best_first(scores, k).tolist() == expected.tolist()
+        assert E._best_first(scores, None).tolist() == np.argsort(-scores, kind="stable").tolist()
+
+
+def choice_fltb_candidates(ds, pool, pool_by_category, outfit_id, masked_index, rng):
+    """The distractor draw as it was made with one ``rng.choice`` per pick."""
+    members = ds.outfits[outfit_id]
+    true_item = members[masked_index]
+    chosen: list[int] = []
+    for source in (pool_by_category.get(ds.items[true_item].category, ()), pool, None):
+        if source is None:  # built only when the pool falls short
+            source = sorted(set(ds.items) - set(members))
+        options = [i for i in source if i not in chosen and i != true_item]
+        while options and len(chosen) < 3:
+            pick = int(rng.choice(options))
+            chosen.append(pick)
+            options.remove(pick)
+        if len(chosen) == 3:
+            break
+    if len(chosen) < 3:
+        raise ValueError("not enough items to build FLTB distractors")
+    candidates = [true_item] + chosen
+    order = rng.permutation(4)
+    return [candidates[i] for i in order], true_item
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fltb_draws_equal_per_pick_choice(seed):
+    ds, splits, *_ = world(seed, n_items=200, n_categories=4)
+    full = sorted(splits.compat_negative_pool)
+    short_category = short_pool = 0
+    # The full pool, one short enough that the category pool falls back to the
+    # rest of it, and ones so short that the whole pool falls back.
+    for pool in (full, full[:12], full[:4], full[:1], []):
+        pools = category_pools(ds, pool)
+        for oid in sorted(ds.outfits):
+            for masked in range(len(ds.outfits[oid])):
+                true_item = ds.outfits[oid][masked]
+                same = len(pools.get(ds.items[true_item].category, ()))
+                short_category += same < 3 <= len(pool)
+                short_pool += len(pool) < 3
+                new, old = (substream(seed, "fltb", oid, masked) for _ in range(2))
+                got = E._fltb_candidates(ds, pool, pools, oid, masked, new)
+                assert got == choice_fltb_candidates(ds, pool, pools, oid, masked, old)
+                assert all(type(i) is int for i in got[0])
+                assert new.integers(1 << 62) == old.integers(1 << 62)
+    assert short_category > 0 and short_pool > 0
+
+
 def test_evaluate_rows_match_per_pair_reference():
     ds, splits, graph, m, prop = world(3)
     report = E.evaluate(m, graph, ds, splits, seed=3, include_compat=False, prop=prop)

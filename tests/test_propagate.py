@@ -3,7 +3,7 @@ import pytest
 
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.embed import LEVELS, ModelDims, init_model
-from fashiongraph.graph import ItemItemEdges, build_fashion_graph
+from fashiongraph.graph import ItemItemEdges, LevelEdges, build_fashion_graph
 from fashiongraph.propagate import (
     COOCCURRENCE_EPS,
     attention_weights,
@@ -158,10 +158,8 @@ class TestItemOutfitAndUser:
         h_o = rng.normal(size=(1, 8))
         h_i = rng.normal(size=(2, 8))
 
-        class G:  # minimal stand-in carrying the edge arrays
-            oi_tgt = np.array([0])
-            oi_src = np.array([1])
-            n_outfits = 1
+        class G:  # minimal stand-in carrying the one edge's level
+            levels = {"item_outfit": LevelEdges(np.array([0]), np.array([1]), 1)}
 
         out, alpha = propagate_item_outfit(G, h_i, h_o, m)
         np.testing.assert_allclose(alpha, np.ones((4, 1)))
