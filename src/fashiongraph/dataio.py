@@ -177,7 +177,11 @@ def read_features(path: str | Path) -> dict[int, np.ndarray]:
     if vectors.size and not (np.isfinite(vectors.min()) and np.isfinite(vectors.max())):
         row = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
         raise DatasetError(f"{path}: item {records['id'][row]}: non-finite feature value")
-    return {int(iid): vectors[k] for k, iid in enumerate(records["id"])}
+    features = {int(iid): vectors[k] for k, iid in enumerate(records["id"])}
+    if len(features) != count:  # a repeated id would silently keep its last record
+        ids, counts = np.unique(records["id"], return_counts=True)
+        raise DatasetError(f"{path}: duplicate item id {ids[counts > 1][0]}")
+    return features
 
 
 def write_features(path: str | Path, features: dict[int, np.ndarray]) -> None:
@@ -239,6 +243,8 @@ def load_dataset(
         o = _parse_id(o_s, str(interactions), lineno)
         users.add(u)
         inter.add((u, o))
+    if not inter:
+        raise DatasetError(f"{interactions}: no interactions")
 
     ds = Dataset(
         users=sorted(users),

@@ -243,13 +243,30 @@ def fuse_item(x_v, x_t, m: ModelState, category: int | None = None) -> ItemEmbed
 # checkpoints
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # min and max are NaN or infinite iff some value is, and allocate no mask;
+    # the ufuncs' own reduce skips the overhead of ndarray.min and max.
+    return not arr.size or (
+        math.isfinite(np.minimum.reduce(arr, axis=None))
+        and math.isfinite(np.maximum.reduce(arr, axis=None))
+    )
+
+
 def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays as f32 sections; insertion order is preserved."""
+    """Write named arrays as f32 sections; insertion order is preserved.
+
+    Raises ``ValueError`` naming ``path`` and the section, before ``path``
+    is opened, when a section's f32 cast holds a NaN or infinite value.
+    """
+    with np.errstate(over="ignore"):  # an overflow to inf is reported below
+        sections = {name: np.ascontiguousarray(a, dtype="<f4") for name, a in arrays.items()}
+    for name, arr in sections.items():
+        if not _all_finite(arr):
+            raise ValueError(f"{path}: section {name!r} holds a non-finite value as float32")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr, dtype="<f4")
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(sections)))
+        for name, arr in sections.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -298,8 +315,7 @@ def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
         count = math.prod(shape)
         start = take(4 * count, f"section {name!r} payload")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start).reshape(shape)
-        # min and max are NaN or infinite iff some value is.
-        if count and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        if not _all_finite(arr):
             raise ValueError(f"{path}: section {name!r} holds a non-finite value")
         out[name] = arr.copy()
     if offset != len(blob):

@@ -7,7 +7,8 @@ computed at k and averaged over users with at least one relevant outfit;
 scores come in user x outfit blocks of ``RANK_BLOCK`` users.  Compatibility is measured by AUC of stored outfits
 against category-template negatives and by fill-in-the-blank accuracy: one
 outfit item is masked and the model must pick it from four candidates by
-compatibility score.  Item lists are drawn first, then scored in batches.
+compatibility score.  Item lists are drawn first, each metric's from one
+substream in outfit order, then scored in batches.
 """
 
 from __future__ import annotations
@@ -228,10 +229,10 @@ def fltb_accuracy(
     outfit_ids = fltb_test_outfits(ds, split) if outfit_ids is None else list(outfit_ids)
     pool = sorted(split.compat_negative_pool)
     pool_by_category = category_pools(ds, pool)
+    rng = substream(seed, "fltb")  # one stream, outfit by outfit, trial by trial
     lists, trials = [], []
     for oid in outfit_ids:
-        for trial in range(trials_per_outfit):
-            rng = substream(seed, "fltb", oid, trial)
+        for _ in range(trials_per_outfit):
             masked_index = int(rng.integers(len(ds.outfits[oid])))
             candidates, true_item = _fltb_candidates(
                 ds, pool, pool_by_category, oid, masked_index, rng
@@ -250,10 +251,9 @@ def compat_auc(
 ) -> float | None:
     """AUC of stored-outfit scores against category-template negatives."""
     outfit_ids = sorted(ds.outfits)
+    rng = substream(seed, "auc")  # one stream, in sorted outfit order
     drawn = [
-        category_template_negative(
-            ds, oid, ds.items_by_category, ds.outfit_sets, substream(seed, "auc", oid)
-        )
+        category_template_negative(ds, oid, ds.items_by_category, ds.outfit_sets, rng)
         for oid in outfit_ids
     ]
     negatives = [n for n in drawn if n is not None]

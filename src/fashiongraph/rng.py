@@ -4,7 +4,9 @@ Every random draw in the package (splitting, initialization, negative
 sampling, dropout, FLTB candidate selection) comes from a substream named
 by a path of strings/integers.  Substreams are independent of each other,
 so changing how many numbers one stage consumes never perturbs another
-stage's draws.
+stage's draws.  Within a stage, draws may share one substream: each
+evaluation metric (AUC, FLTB) draws in sequence from a single substream
+per evaluation, so its outfits are not independent of each other.
 """
 
 import hashlib

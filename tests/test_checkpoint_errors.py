@@ -1,6 +1,7 @@
 """Damaged checkpoints at the CLI boundary: a flip of any header byte of
 the parameter sections, a renamed section and a non-finite payload value
-each exit 1 with a message that names the file."""
+each exit 1 with a message that names the file; the writer refuses a
+section that is not finite as float32."""
 
 import math
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fashiongraph.cli import main, make_run_config, parse_config_file, prepare
-from fashiongraph.embed import CHECKPOINT_MAGIC, save_checkpoint
+from fashiongraph.embed import CHECKPOINT_MAGIC, save_checkpoint, write_arrays
 from fashiongraph.train import make_model
 
 SMALL_CFG = (
@@ -95,3 +96,14 @@ def test_non_finite_payload_exits_one_naming_the_file(small_checkpoint, tmp_path
     assert_exits_one_naming(
         argv, tmp_path / "nan.ckpt", bytes(bad), capsys, "'fusion_w'", "non-finite"
     )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+def test_writer_refuses_a_section_not_finite_as_float32(tmp_path, value):
+    # 1e39 is finite in float64 and overflows to inf in the f32 cast.
+    target = tmp_path / "bad.ckpt"
+    arrays = {"ok": np.ones(3), "bad": np.array([[0.0, value]]), "after": np.zeros(2)}
+    with pytest.raises(ValueError, match="'bad' holds a non-finite value") as info:
+        write_arrays(target, arrays)
+    assert str(target) in str(info.value)
+    assert not target.exists()

@@ -1,8 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
 from fashiongraph.cli import main, make_run_config, parse_config_file
-from fashiongraph.dataio import read_features, write_dataset
+from fashiongraph.dataio import (
+    SyntheticConfig,
+    generate_synthetic,
+    read_features,
+    write_dataset,
+    write_features,
+)
 from fashiongraph.embed import read_arrays
 
 from conftest import tiny_dataset
@@ -245,3 +253,54 @@ class TestRecommendAndFltb:
         table = read_features(target)
         assert len(table) == 24
         assert next(iter(table.values())).shape == (64,)
+
+
+class TestBadFilesExitOne:
+    """Bad data files stop ``train`` with exit 1 and a message naming the file."""
+
+    def _files_cfg(self, tmp_path, paths):
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(
+            f"seed=7\nmode=files\nout_dir={tmp_path / 'out'}\nepochs=1\ndtype=float64\n"
+            f"interactions={paths['interactions']}\noutfits={paths['outfits']}\n"
+            f"items={paths['items']}\nvisual_features={paths['visual']}\n"
+            f"textual_features={paths['textual']}\n"
+        )
+        return cfg
+
+    def _train_fails(self, tmp_path, paths, capsys, *also):
+        assert main(["train", "--config", str(self._files_cfg(tmp_path, paths))]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        for text in also:
+            assert text in err, err
+
+    def test_duplicate_feature_record(self, tmp_path, capsys):
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        blob = paths["visual"].read_bytes()
+        count, dim = struct.unpack_from("<II", blob, 12)
+        record = blob[20 : 20 + 8 + 4 * dim]  # item 0, repeated at the end
+        paths["visual"].write_bytes(
+            blob[:12] + struct.pack("<I", count + 1) + blob[16:] + record
+        )
+        self._train_fails(tmp_path, paths, capsys, str(paths["visual"]), "duplicate item id 0")
+
+    def test_empty_interactions_file(self, tmp_path, capsys):
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        paths["interactions"].write_text("")
+        self._train_fails(tmp_path, paths, capsys, str(paths["interactions"]), "no interactions")
+
+    def test_feature_value_overflowing_float32_checkpoint(self, tmp_path, capsys):
+        ds = generate_synthetic(
+            SyntheticConfig(n_users=8, n_outfits=12, n_items=24, interactions_per_user=6), seed=7
+        )
+        paths = write_dataset(ds, tmp_path / "data")
+        visual = read_features(paths["visual"])
+        visual[min(visual)][0] = 3e38  # finite as float32; its squares are not
+        write_features(paths["visual"], visual)
+        out = tmp_path / "out"
+        # Epoch 1 writes best.ckpt, then last.ckpt, whose Adam moments are
+        # the first to leave float32's range.
+        self._train_fails(tmp_path, paths, capsys, "last.ckpt", "'opt/v/user_table'", "non-finite")
+        assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "train_log.csv"]
+        read_arrays(out / "best.ckpt")

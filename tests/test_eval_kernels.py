@@ -219,8 +219,8 @@ def auc_lists(ds, prop, seed):
     pools = category_pools(ds, ds.items)
     outfit_sets = {frozenset(v) for v in ds.outfits.values()}
     pos = [prop.graph.outfit_items[o] for o in sorted(ds.outfits)]
-    neg = [category_template_negative(ds, o, pools, outfit_sets, substream(seed, "auc", o))
-           for o in sorted(ds.outfits)]
+    rng = substream(seed, "auc")
+    neg = [category_template_negative(ds, o, pools, outfit_sets, rng) for o in sorted(ds.outfits)]
     return pos, [n for n in neg if n is not None]
 
 
@@ -228,10 +228,10 @@ def fltb_trials(ds, splits, seed, trials_per_outfit=1):
     """(outfit, masked index, candidates, true item) in ``fltb_accuracy``'s draw order."""
     pool = sorted(splits.compat_negative_pool)
     pools = category_pools(ds, pool)
+    rng = substream(seed, "fltb")
     out = []
     for oid in E.fltb_test_outfits(ds, splits):
-        for trial in range(trials_per_outfit):
-            rng = substream(seed, "fltb", oid, trial)
+        for _ in range(trials_per_outfit):
             masked = int(rng.integers(len(ds.outfits[oid])))
             out.append((oid, masked, *E._fltb_candidates(ds, pool, pools, oid, masked, rng)))
     return out
@@ -280,6 +280,43 @@ def test_batched_fltb_ties_take_lowest_slot():
     got = E.fltb_accuracy(ds, splits, prop, m, seed=7, trials_per_outfit=4)
     assert got == (in_slot_zero / len(trials), len(trials))
 
+
+
+@pytest.mark.parametrize("n_outfits", [30, 120])
+def test_evaluation_takes_one_substream_per_metric(monkeypatch, n_outfits):
+    ds, splits, graph, m, prop = world(10, n_outfits=n_outfits)
+    paths = []
+
+    def counting(seed, *path):
+        paths.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(E, "substream", counting)
+    report = E.evaluate(m, graph, ds, splits, seed=10, prop=prop)
+    assert report.auc is not None and report.n_fltb_trials > 0
+    assert sorted(paths) == [("auc",), ("fltb",)]
+
+
+def test_template_negatives_pass_through_the_module_global(monkeypatch):
+    # A caller can read every AUC negative off ``E.category_template_negative``:
+    # one call per stored outfit, in sorted order, scoring to ``compat_auc``.
+    ds, splits, graph, m, prop = world(11)
+    sampler = E.category_template_negative
+    seen, negatives = [], []
+
+    def capture(ds, outfit_id, *args, **kwargs):
+        negative = sampler(ds, outfit_id, *args, **kwargs)
+        seen.append(outfit_id)
+        if negative is not None:
+            negatives.append(negative)
+        return negative
+
+    monkeypatch.setattr(E, "category_template_negative", capture)
+    got = E.compat_auc(ds, prop, m, seed=11)
+    assert seen == sorted(ds.outfits)
+    assert negatives
+    pos = score_item_lists([graph.outfit_items[o] for o in sorted(ds.outfits)], prop, m)
+    assert got == E.auc(pos, score_item_lists(negatives, prop, m))
 
 def test_item_features_stacked_once(monkeypatch):
     ds, splits, graph, m, _ = world(8)
