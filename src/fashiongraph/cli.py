@@ -198,11 +198,14 @@ def cmd_ingest(rc: RunConfig) -> int:
 
 def _save_replacing(model: ModelState, path: Path, extra: dict[str, np.ndarray]) -> None:
     """Write a checkpoint to a temporary file beside ``path`` and move it
-    into place, so ``path`` always holds a whole checkpoint."""
+    into place, so ``path`` always holds a whole checkpoint.  A refused write
+    raises ``ValueError`` naming ``path``, not the temporary file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         save_checkpoint(model, tmp, extra=extra)
         os.replace(tmp, path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc.args[0].removeprefix(f'{tmp}: ')}") from None
     finally:
         tmp.unlink(missing_ok=True)
 

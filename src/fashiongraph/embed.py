@@ -40,7 +40,6 @@ class ModelDims:
     r_views: int = 6
     view_hidden: int = 32
     leaky_slope: float = 0.2
-    per_category_visual: bool = False  # optional per-category affine on the visual half
     uniform_attention: bool = False  # debug: constant 1/|N| attention (no softmax)
     linear_compat: bool = False  # debug: drop the tanh in the compatibility map
 
@@ -50,7 +49,7 @@ class ModelDims:
 
 
 class ModelState:
-    """All learnable parameters with gradient slots and a flat view."""
+    """All learnable parameters with their gradient slots."""
 
     def __init__(
         self,
@@ -84,25 +83,6 @@ class ModelState:
     @property
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.params.values())
-
-    def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel() for p in self.params.values()])
-
-    def set_flat_parameters(self, flat: np.ndarray):
-        if flat.size != self.n_parameters:
-            raise ValueError(f"flat vector has {flat.size} entries, model has {self.n_parameters}")
-        offset = 0
-        for p in self.params.values():
-            n = p.data.size
-            p.data = flat[offset : offset + n].reshape(p.data.shape).astype(self.dtype)
-            offset += n
-
-    def flat_gradients(self) -> np.ndarray:
-        chunks = []
-        for p in self.params.values():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            chunks.append(np.asarray(g).ravel())
-        return np.concatenate(chunks)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -151,12 +131,6 @@ def init_model(
     m._add("visual_b1", np.zeros(d_h))
     m._add("visual_w2", _glorot(rng_for("visual_w2"), (half, d_h), d_h, half))
     m._add("visual_b2", np.zeros(half))
-    if dims.per_category_visual:
-        m._add(
-            "visual_cat_w",
-            _glorot(rng_for("visual_cat_w"), (n_categories, half, half), half, half),
-        )
-        m._add("visual_cat_b", np.zeros((n_categories, half)))
     m._add("textual_w", _glorot(rng_for("textual_w"), (half, dims.d_t), dims.d_t, half))
     m._add("textual_b", np.zeros(half))
     m._add("fusion_w", _glorot(rng_for("fusion_w"), (d, 2 * half), 2 * half, d))
@@ -185,15 +159,13 @@ def init_model(
 # item fusion
 
 
-@dataclass(frozen=True)
-class ItemEmbedding:
-    reduced_visual: np.ndarray  # (d/2,)
-    reduced_textual: np.ndarray  # (d/2,)
-    fused: np.ndarray  # (d,), the item's initial embedding
+def fuse_items_tensor(m: ModelState, X_v, X_t, categories=None) -> Tensor:
+    """Fused embeddings for a batch of items; differentiable.
 
-
-def _fuse(m: ModelState, X_v, X_t, categories) -> tuple[Tensor, Tensor, Tensor]:
-    """(reduced visual, reduced textual, fused) of a batch of items."""
+    ``X_v``: (n, d_v), ``X_t``: (n, d_t); returns (n, d).  ``categories``,
+    the third array of ``feature_matrices``, is accepted and unused: fusion
+    does not depend on an item's category.
+    """
     slope = m.dims.leaky_slope
     X_v = Tensor(np.ascontiguousarray(X_v, dtype=m.dtype))
     X_t = Tensor(np.ascontiguousarray(X_t, dtype=m.dtype))
@@ -205,38 +177,8 @@ def _fuse(m: ModelState, X_v, X_t, categories) -> tuple[Tensor, Tensor, Tensor]:
     p = m.params
     hidden = ad.leaky_relu(ad.linear(X_v, p["visual_w1"], p["visual_b1"]), slope)
     e_v = ad.linear(hidden, p["visual_w2"], p["visual_b2"])
-    if m.dims.per_category_visual:
-        if categories is None:
-            raise ValueError("per-category fusion needs item categories")
-        W = ad.gather(p["visual_cat_w"], categories, axis=0)  # (n, half, half)
-        b = ad.gather(p["visual_cat_b"], categories, axis=0)
-        e_v = ad.reshape(ad.matmul(W, ad.reshape(e_v, (*e_v.shape, 1))), e_v.shape) + b
     e_t = ad.linear(X_t, p["textual_w"], p["textual_b"])
-    fused = ad.linear(ad.concat([e_v, e_t], axis=1), p["fusion_w"], p["fusion_b"])
-    return e_v, e_t, fused
-
-
-def fuse_items_tensor(m: ModelState, X_v, X_t, categories=None) -> Tensor:
-    """Fused embeddings for a batch of items; differentiable.
-
-    ``X_v``: (n, d_v), ``X_t``: (n, d_t); returns (n, d).
-    """
-    return _fuse(m, X_v, X_t, categories)[2]
-
-
-def fuse_item(x_v, x_t, m: ModelState, category: int | None = None) -> ItemEmbedding:
-    """Fuse one item's visual/textual features into its initial embedding."""
-    x_v, x_t = np.asarray(x_v), np.asarray(x_t)
-    if x_v.ndim != 1 or x_t.ndim != 1:
-        raise ValueError(f"feature vectors must be 1-D, got {x_v.shape}/{x_t.shape}")
-    cats = None if category is None else np.array([category])
-    with ad.no_grad():
-        e_v, e_t, fused = _fuse(m, x_v[None, :], x_t[None, :], cats)
-    return ItemEmbedding(
-        reduced_visual=e_v.data[0].copy(),
-        reduced_textual=e_t.data[0].copy(),
-        fused=fused.data[0].copy(),
-    )
+    return ad.linear(ad.concat([e_v, e_t], axis=1), p["fusion_w"], p["fusion_b"])
 
 
 # ---------------------------------------------------------------------------

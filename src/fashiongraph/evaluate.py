@@ -156,24 +156,6 @@ def _substituted(outfit_id: int, masked_index: int, candidates, graph: FashionGr
     return [[*members[:masked_index], c, *members[masked_index + 1 :]] for c in candidates]
 
 
-def fltb(
-    outfit_id: int,
-    masked_index: int,
-    candidates,
-    true_item: int,
-    prop: PropagationOutput,
-    m: ModelState,
-) -> tuple[int, bool]:
-    """Score the outfit with each candidate substituted at ``masked_index``.
-
-    Returns (chosen slot, chosen is the true item); ties resolve to the
-    lowest slot.
-    """
-    lists = _substituted(outfit_id, masked_index, candidates, prop.graph)
-    chosen = int(np.argmax(score_item_lists(lists, prop, m)))  # the first maximum
-    return chosen, candidates[chosen] == true_item
-
-
 def _fltb_candidates(
     ds: Dataset,
     pool: list[int],

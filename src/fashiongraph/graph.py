@@ -1,4 +1,4 @@
-"""Three-level fashion graph, category co-occurrence weights, item subgraphs.
+"""Three-level fashion graph and category co-occurrence weights.
 
 The co-occurrence weight of an ordered category pair is
 
@@ -14,8 +14,7 @@ first category.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-from pathlib import Path
+from itertools import permutations
 
 import numpy as np
 
@@ -31,28 +30,6 @@ class CategoryGraph:
 
     def weight(self, c_i: int, c_j: int) -> float:
         return self.weights.get((c_i, c_j), 0.0)
-
-
-@dataclass(frozen=True)
-class ItemSubgraph:
-    """Complete graph over one outfit's items with inherited category weights."""
-
-    outfit_id: int
-    items: list[int]
-    edges: list[tuple[int, int, float]]  # (i, j, w(c_i, c_j)) per unordered pair
-
-
-@dataclass(frozen=True)
-class ItemItemEdges:
-    """Directed item-item edges (unions of co-outfit neighborhoods).
-
-    ``tgt``/``src`` are item indices; ``weight[e]`` is w(cat(tgt), cat(src)),
-    the co-occurrence prior for updating the target from the source.
-    """
-
-    tgt: np.ndarray
-    src: np.ndarray
-    weight: np.ndarray
 
 
 class LevelEdges:
@@ -108,9 +85,12 @@ class FashionGraph:
     outfit_items: dict[int, list[int]]  # outfit id -> item ids in outfit order
     item_outfits: dict[int, list[int]]
     category_graph: CategoryGraph
-    item_edges: ItemItemEdges
     # "item_item", "item_outfit", "outfit_user" -> that level's edges
     levels: dict[str, LevelEdges] = field(repr=False)
+
+    @property
+    def item_edges(self) -> LevelEdges:  # item-item edges with their prior
+        return self.levels["item_item"]
 
     @property
     def uo_tgt(self) -> np.ndarray:  # user index per user-outfit edge
@@ -170,22 +150,11 @@ def category_cooccurrence_weights(ds: Dataset) -> CategoryGraph:
     return CategoryGraph(weights=weights, co_counts=co, cat_counts=cat_counts)
 
 
-def outfit_item_subgraph(outfit_id: int, ds: Dataset, cg: CategoryGraph) -> ItemSubgraph:
-    """Complete item graph of one outfit; weights looked up from ``cg``."""
-    if outfit_id not in ds.outfits:
-        raise KeyError(f"unknown outfit id {outfit_id}")
-    members = ds.outfits[outfit_id]
-    edges = [
-        (i, j, cg.weight(ds.items[i].category, ds.items[j].category))
-        for i, j in combinations(members, 2)
-    ]
-    return ItemSubgraph(outfit_id=outfit_id, items=list(members), edges=edges)
-
-
 def build_item_item_edges(
     ds: Dataset, cg: CategoryGraph, item_index: dict[int, int]
-) -> ItemItemEdges:
-    """Directed co-outfit neighborhoods with category-prior weights.
+) -> LevelEdges:
+    """The item-item level: directed co-outfit neighborhoods whose prior is
+    the category weight w(cat(target), cat(source)).
 
     An item's neighborhood is the union of its co-outfit items across every
     outfit containing it; a pair co-occurring in several outfits yields one
@@ -201,8 +170,7 @@ def build_item_item_edges(
     for pair, w in cg.weights.items():
         table[pair] = w
     cats = np.array([ds.items[i].category for i in item_index], dtype=np.int64)
-    weight = table[cats[tgt], cats[src]]
-    return ItemItemEdges(tgt=tgt, src=src, weight=weight)
+    return LevelEdges(tgt, src, len(item_index), prior=table[cats[tgt], cats[src]])
 
 
 def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGraph:
@@ -241,11 +209,8 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
     oi_src = np.array([item_index[i] for _, i in oi_pairs], dtype=np.int64)
 
     cg = category_cooccurrence_weights(ds)
-    item_edges = build_item_item_edges(ds, cg, item_index)
     levels = {
-        "item_item": LevelEdges(
-            item_edges.tgt, item_edges.src, len(item_ids), prior=item_edges.weight
-        ),
+        "item_item": build_item_item_edges(ds, cg, item_index),
         "item_outfit": LevelEdges(oi_tgt, oi_src, len(outfit_ids)),
         "outfit_user": LevelEdges(uo_tgt, uo_src, len(user_ids)),
     }
@@ -262,26 +227,5 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
         outfit_items=outfit_items,
         item_outfits=item_outfits,
         category_graph=cg,
-        item_edges=item_edges,
         levels=levels,
     )
-
-
-def export_edge_list(graph: FashionGraph, ds: Dataset, path: str | Path) -> None:
-    """Write ``src<TAB>dst<TAB>weight`` rows for external visualization.
-
-    Structural edges carry weight 1; item-item rows carry the category
-    co-occurrence weight of each outfit pair.
-    """
-    cg = graph.category_graph
-    with open(path, "w", encoding="utf-8") as fh:
-        for u in sorted(graph.user_outfits):
-            for o in graph.user_outfits[u]:
-                fh.write(f"u{u}\to{o}\t1\n")
-        for o in sorted(graph.outfit_items):
-            for i in graph.outfit_items[o]:
-                fh.write(f"o{o}\ti{i}\t1\n")
-        for o in sorted(ds.outfits):
-            sub = outfit_item_subgraph(o, ds, cg)
-            for i, j, w in sub.edges:
-                fh.write(f"i{i}\ti{j}\t{w:.12g}\n")

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dataio import Dataset
 from .embed import LEVELS, ModelState, fuse_items_tensor
-from .graph import FashionGraph, ItemItemEdges, LevelEdges
+from .graph import FashionGraph, LevelEdges
 
 COOCCURRENCE_EPS = 1e-8
 
@@ -117,28 +117,6 @@ def edge_attention_tensor(
     return alpha
 
 
-def attention_weights(
-    m: ModelState,
-    level: str,
-    head: int,
-    h_targets: np.ndarray,
-    h_sources: np.ndarray,
-    tgt_idx: np.ndarray,
-    src_idx: np.ndarray,
-    n_targets: int,
-    bias: np.ndarray | None = None,
-) -> np.ndarray:
-    """Normalized attention of one head as a plain array (n_edges,);
-    ``h_targets`` holds the ``n_targets`` target rows, ``bias`` the edge prior."""
-    if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}")
-    if not 0 <= head < m.dims.heads:
-        raise ValueError(f"head {head} out of range")
-    edges = LevelEdges(tgt_idx, src_idx, n_targets, prior=bias)
-    _, alpha = _propagate_level(m, level, h_targets, h_sources, edges)
-    return alpha[head].copy()
-
-
 def _propagate_level_tensor(
     m: ModelState,
     level: str,
@@ -148,6 +126,7 @@ def _propagate_level_tensor(
     dropout_p: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
+    """One level's updated targets and its attention (heads, n_edges)."""
     alpha = edge_attention_tensor(m, level, h_tgt, h_src, edges, dropout_p=dropout_p, rng=rng)
     W_msg = ad.transpose(m.params[f"msg_w_{level}"], (1, 0))
     # W_m is linear, so it is applied per node, never per edge: at the item-
@@ -159,46 +138,6 @@ def _propagate_level_tensor(
         agg = ad.edge_sum(alpha, ad.matmul(h_src, W_msg), edges)
     update = ad.mean(ad.leaky_relu(agg, m.dims.leaky_slope), axis=0)
     return h_tgt + update, alpha
-
-
-def _propagate_level(
-    m: ModelState, level: str, h_tgt: np.ndarray, h_src: np.ndarray, edges: LevelEdges
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_propagate_level_tensor`` on plain embedding arrays, without a tape;
-    returns (updated targets, per-head attention) as arrays.  One array passed
-    as both targets and sources stays one tensor, so its logits take one product."""
-    with ad.no_grad():
-        t = Tensor(np.ascontiguousarray(h_tgt, dtype=m.dtype))
-        s = t if h_src is h_tgt else Tensor(np.ascontiguousarray(h_src, dtype=m.dtype))
-        out, alpha = _propagate_level_tensor(m, level, t, s, edges)
-    return out.data, alpha.data
-
-
-def propagate_item_item(
-    edges: ItemItemEdges, h_items: np.ndarray, m: ModelState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine item embeddings from their co-outfit neighborhoods.
-
-    Returns (updated embeddings, per-head attention weights).
-    """
-    level = LevelEdges(edges.tgt, edges.src, h_items.shape[0], prior=edges.weight)
-    return _propagate_level(m, "item_item", h_items, h_items, level)
-
-
-def propagate_item_outfit(
-    graph: FashionGraph, h_items_star: np.ndarray, h_outfits: np.ndarray, m: ModelState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine outfit embeddings from their (updated) item embeddings."""
-    level = graph.levels["item_outfit"]
-    return _propagate_level(m, "item_outfit", h_outfits, h_items_star, level)
-
-
-def propagate_outfit_user(
-    graph: FashionGraph, h_outfits_star: np.ndarray, h_users: np.ndarray, m: ModelState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine user embeddings from their training-interaction outfits."""
-    level = graph.levels["outfit_user"]
-    return _propagate_level(m, "outfit_user", h_users, h_outfits_star, level)
 
 
 def _dropout(x: Tensor, p: float, rng: np.random.Generator, dtype) -> Tensor:
@@ -281,23 +220,3 @@ def forward(
         attention=attention,
         graph=graph,
     )
-
-
-def dump_attention(prop: PropagationOutput, path) -> None:
-    """Write per-edge attention as ``level<TAB>target<TAB>source<TAB>head<TAB>alpha``."""
-    graph = prop.graph
-    id_maps = {
-        "item_item": (graph.item_ids, graph.item_ids),
-        "item_outfit": (graph.outfit_ids, graph.item_ids),
-        "outfit_user": (graph.user_ids, graph.outfit_ids),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        for level in LEVELS:
-            rec = prop.attention[level]
-            tgt_ids, src_ids = id_maps[level]
-            for head in range(rec.alpha.shape[0]):
-                for e in range(rec.alpha.shape[1]):
-                    fh.write(
-                        f"{level}\t{tgt_ids[rec.tgt[e]]}\t{src_ids[rec.src[e]]}"
-                        f"\t{head}\t{rec.alpha[head, e]:.12g}\n"
-                    )

@@ -15,8 +15,6 @@ regardless of R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -27,24 +25,6 @@ from .propagate import PropagationOutput
 PAD_LOGIT = -1e30
 
 
-@dataclass(frozen=True, eq=False)
-class OutfitMatrix:
-    """Updated item embeddings of one outfit, row order = outfit item order."""
-
-    values: np.ndarray  # (n, d)
-
-    @property
-    def n_items(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class RViewResult:
-    attention: np.ndarray  # (R, n)
-    compatibility: np.ndarray  # (R, n)
-    score: float
-
-
 def rec_score(h_user_star: np.ndarray, h_outfit_star: np.ndarray) -> float:
     """Preference score: raw inner product of the two updated embeddings."""
     u = np.asarray(h_user_star)
@@ -52,31 +32,6 @@ def rec_score(h_user_star: np.ndarray, h_outfit_star: np.ndarray) -> float:
     if u.shape != o.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {o.shape}")
     return float(u @ o)
-
-
-def _outfit_maps(O: OutfitMatrix | np.ndarray, m: ModelState) -> tuple[np.ndarray, np.ndarray]:
-    """(A, C) of one outfit matrix, each (R, n), from the batched kernel."""
-    values = O.values if isinstance(O, OutfitMatrix) else np.asarray(O)
-    if values.ndim != 2 or values.shape[1] != m.dims.d:
-        raise ValueError(f"outfit matrix must be (n, {m.dims.d}), got {values.shape}")
-    no_padding = np.zeros((1, 1, len(values)), dtype=m.dtype)
-    with ad.no_grad():
-        A, C = _rview_maps(m, Tensor(values.T[None]), no_padding)
-    return A.data[0], C.data[0]
-
-
-def rview_attention(O: OutfitMatrix | np.ndarray, m: ModelState) -> np.ndarray:
-    """Per-view item importance, rows summing to 1."""
-    return _outfit_maps(O, m)[0]
-
-
-def rview_compat(O: OutfitMatrix | np.ndarray, m: ModelState) -> np.ndarray:
-    """Per-view item compatibility scores, bounded by tanh.
-
-    Entries lie in (-1, 1) mathematically; in floating point tanh saturates
-    to exactly 1.0 once its argument exceeds ~19.
-    """
-    return _outfit_maps(O, m)[1]
 
 
 def view_scores(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -93,11 +48,6 @@ def outfit_compat_score(A: np.ndarray, C: np.ndarray) -> float:
     return float(view_scores(A, C).mean())
 
 
-def rview_result(O: OutfitMatrix | np.ndarray, m: ModelState) -> RViewResult:
-    A, C = _outfit_maps(O, m)
-    return RViewResult(attention=A, compatibility=C, score=outfit_compat_score(A, C))
-
-
 def score_item_lists(item_lists, prop: PropagationOutput, m: ModelState) -> np.ndarray:
     """Compatibility scores of many item combinations: one tape-free
     ``rview_scores_tensor`` pass over the updated item rows."""
@@ -110,13 +60,6 @@ def score_item_lists(item_lists, prop: PropagationOutput, m: ModelState) -> np.n
 def score_items(item_ids, prop: PropagationOutput, m: ModelState) -> float:
     """Compatibility score of an arbitrary item combination."""
     return float(score_item_lists([item_ids], prop, m)[0])
-
-
-def score_outfit(outfit_id: int, prop: PropagationOutput, m: ModelState) -> float:
-    """Compatibility score of a stored outfit from its updated item rows."""
-    if outfit_id not in prop.graph.outfit_items:
-        raise KeyError(f"unknown outfit id {outfit_id}")
-    return score_items(prop.graph.outfit_items[outfit_id], prop, m)
 
 
 def rview_scores_tensor(m: ModelState, h_items: Tensor, item_rows: list[np.ndarray]) -> Tensor:
@@ -141,7 +84,8 @@ def rview_scores_tensor(m: ModelState, h_items: Tensor, item_rows: list[np.ndarr
 def _rview_maps(m: ModelState, O_T: Tensor, pad_bias: np.ndarray) -> tuple[Tensor, Tensor]:
     """Attention A and compatibility C, each (B, R, n), of the transposed
     outfit matrices ``O_T`` (B, d, n); ``pad_bias`` (B, 1, n) is 0 on items
-    and PAD_LOGIT on padding."""
+    and PAD_LOGIT on padding.  C lies in (-1, 1), though in floating point
+    tanh rounds to exactly 1.0 once its argument exceeds about 19."""
     slope = m.dims.leaky_slope
     att_hidden = ad.leaky_relu(ad.matmul(m.params["view_attn_in"], O_T), slope)
     logits = ad.matmul(m.params["view_attn_out"], att_hidden) + Tensor(pad_bias)

@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
+import fashiongraph.autodiff as ad
+from fashiongraph.autodiff import Tensor
 from fashiongraph.dataio import Dataset, Item, SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.graph import build_fashion_graph
+from fashiongraph.propagate import _propagate_level_tensor
 from fashiongraph.train import TrainConfig, make_model
+
+
+def propagate_level(m, level, h_tgt, h_src, edges):
+    """``_propagate_level_tensor`` on plain arrays without a tape: (updated
+    targets, per-head attention).  One array as both sides stays one tensor,
+    as ``forward`` passes the item level."""
+    with ad.no_grad():
+        t = Tensor(h_tgt)
+        s = t if h_src is h_tgt else Tensor(h_src)
+        out, alpha = _propagate_level_tensor(m, level, t, s, edges)
+    return out.data, alpha.data
 
 
 def make_item(category: int, d_v: int = 6, d_t: int = 4, seed: int = 0) -> Item:

@@ -126,6 +126,65 @@ class TestFeatureFile:
             read_features(p)
 
 
+def corrupted_visual_files(blob: bytes, n_flips: int = 200):
+    """``blob`` cut at every offset, then ``n_flips`` seeded copies with 1-3
+    bytes XORed with a nonzero mask."""
+    yield from (blob[:n] for n in range(len(blob)))
+    rng = np.random.default_rng(2024)
+    for _ in range(n_flips):
+        flipped = bytearray(blob)
+        for pos in rng.choice(len(blob), size=rng.integers(1, 4), replace=False):
+            flipped[pos] ^= int(rng.integers(1, 256))
+        yield bytes(flipped)
+
+
+class TestFeatureFileFuzz:
+    """Every corruption of a feature file loads or names the file."""
+
+    def test_every_truncation_and_seeded_flip_loads_or_names_the_file(self, tmp_path):
+        paths = write_dataset(tiny_dataset(), tmp_path)
+        blob = paths["visual"].read_bytes()
+        assert len(blob) == 180  # 20-byte header, 5 records of id + 6 floats
+        outcomes = {"loaded": 0, "refused": 0}
+        for case in corrupted_visual_files(blob):
+            paths["visual"].write_bytes(case)
+            try:
+                load_dataset(paths["interactions"], paths["outfits"], paths["items"],
+                             paths["visual"], paths["textual"])
+                outcomes["loaded"] += 1
+            except DatasetError as exc:
+                assert str(paths["visual"]) in str(exc), (case, exc)
+                outcomes["refused"] += 1
+        # A flip inside a float payload leaves a loadable file; the rest do not.
+        assert outcomes["loaded"] > 0 and outcomes["refused"] > len(blob)
+
+    def test_corrupt_feature_files_exit_one_through_ingest(self, tmp_path, capsys):
+        from fashiongraph.cli import main
+
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(
+            "seed=1\nmode=files\n"
+            f"interactions={paths['interactions']}\noutfits={paths['outfits']}\n"
+            f"items={paths['items']}\nvisual_features={paths['visual']}\n"
+            f"textual_features={paths['textual']}\n"
+        )
+        blob = paths["visual"].read_bytes()
+        # Cuts in the header, an id and the payload, and flips of the count,
+        # the dimension, an id and a float to NaN.
+        cases = [blob[:n] for n in (0, 12, 19, 25, 100, 179)] + [
+            blob[:12] + b"\x06" + blob[13:],  # count 6: 5 records are too short
+            blob[:16] + b"\x07" + blob[17:],  # dim 7
+            blob[:20] + b"\x03" + blob[21:],  # item 0's id becomes 3: a duplicate
+            blob[:28] + b"\xff\xff\xff\x7f" + blob[32:],  # item 0's first value is NaN
+        ]
+        for case in cases:
+            paths["visual"].write_bytes(case)
+            assert main(["ingest", "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and str(paths["visual"]) in err, err
+
+
 def _dataset_with_user_counts(counts: dict[int, int]) -> Dataset:
     items = {i: make_item(i % 2, seed=i) for i in range(4)}
     n_outfits = max(counts.values())

@@ -204,7 +204,7 @@ def test_graph_levels_hold_the_graph_edges(tiny_ds):
     graph = build_fashion_graph(tiny_ds)
     assert graph.levels["item_outfit"].tgt is graph.oi_tgt
     assert graph.levels["outfit_user"].src is graph.uo_src
-    assert np.array_equal(graph.levels["item_item"].tgt, graph.item_edges.tgt)
+    assert graph.item_edges is graph.levels["item_item"]
     assert graph.levels["item_item"].n_tgt == graph.n_items
 
 

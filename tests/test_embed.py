@@ -6,7 +6,6 @@ import pytest
 from fashiongraph.embed import (
     ModelDims,
     ModelState,
-    fuse_item,
     fuse_items_tensor,
     init_model,
     load_checkpoint,
@@ -26,6 +25,16 @@ def small_model(seed=0, dims=SMALL):
 
 def leaky(x, slope=0.2):
     return np.where(x >= 0, x, slope * x)
+
+
+def fuse_one(m, x_v, x_t):
+    """One item's fused embedding: the one-row batch of ``fuse_items_tensor``."""
+    with ad.no_grad():
+        return fuse_items_tensor(m, x_v[None, :], x_t[None, :]).data[0]
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays.values()])
 
 
 def straight_line_fuse(m, x_v, x_t):
@@ -49,10 +58,9 @@ class TestInit:
 
     def test_default_fused_dims_32_32_64(self):
         m = init_model(2, 2, 2, ModelDims(d=64, d_v=6, d_t=4), seed=0)
-        emb = fuse_item(np.ones(6), np.ones(4), m)
-        assert emb.reduced_visual.shape == (32,)
-        assert emb.reduced_textual.shape == (32,)
-        assert emb.fused.shape == (64,)
+        assert m.params["visual_w2"].data.shape[0] == 32  # reduced visual
+        assert m.params["textual_w"].data.shape[0] == 32  # reduced textual
+        assert fuse_one(m, np.ones(6), np.ones(4)).shape == (64,)
 
     def test_flat_view_length_matches_declared_shapes(self):
         m = small_model()
@@ -67,15 +75,16 @@ class TestInit:
             + 2 * (R * v + v * d)  # view attention + compatibility maps
         )
         assert m.n_parameters == expected
-        assert m.flat_parameters().shape == (expected,)
+        assert flat(m.to_arrays()).shape == (expected,)
 
     def test_flat_round_trip(self):
         m = small_model()
-        flat = m.flat_parameters()
+        arrays = m.to_arrays()
         m2 = small_model(seed=99)
-        m2.set_flat_parameters(flat)
-        assert np.array_equal(m2.flat_parameters(), flat)
-        assert m.flat_gradients().shape == flat.shape  # gradient slot per entry
+        assert not np.array_equal(flat(m2.to_arrays()), flat(arrays))
+        m2.load_arrays(arrays)
+        assert list(m2.to_arrays()) == list(arrays)
+        assert np.array_equal(flat(m2.to_arrays()), flat(arrays))
 
     def test_no_parameter_aliasing(self):
         m = small_model()
@@ -97,8 +106,7 @@ class TestInit:
 class TestFuseItem:
     def test_zero_inputs_zero_biases_give_zero(self):
         m = small_model()
-        emb = fuse_item(np.zeros(6), np.zeros(4), m)
-        np.testing.assert_array_equal(emb.fused, np.zeros(8))
+        np.testing.assert_array_equal(fuse_one(m, np.zeros(6), np.zeros(4)), np.zeros(8))
 
     def test_identity_configuration_concatenates(self):
         # square maps set to identity, zero biases: fused = [x_v ; x_t]
@@ -110,42 +118,29 @@ class TestFuseItem:
         m.params["fusion_w"].data = np.eye(8)
         x_v = np.abs(np.random.default_rng(0).normal(size=4))  # positive: LeakyReLU passes through
         x_t = np.random.default_rng(1).normal(size=4)
-        emb = fuse_item(x_v, x_t, m)
-        np.testing.assert_allclose(emb.fused, np.concatenate([x_v, x_t]), atol=1e-12)
+        np.testing.assert_allclose(fuse_one(m, x_v, x_t), np.concatenate([x_v, x_t]), atol=1e-12)
 
     def test_matches_straight_line_recomputation(self):
         m = small_model(seed=3)
         rng = np.random.default_rng(4)
         for _ in range(5):
             x_v, x_t = rng.normal(size=6), rng.normal(size=4)
-            emb = fuse_item(x_v, x_t, m)
-            np.testing.assert_allclose(emb.fused, straight_line_fuse(m, x_v, x_t), atol=1e-12)
-            assert emb.reduced_visual.shape == (4,)
-            assert emb.reduced_textual.shape == (4,)
+            np.testing.assert_allclose(fuse_one(m, x_v, x_t), straight_line_fuse(m, x_v, x_t),
+                                       atol=1e-12)
 
     def test_positive_homogeneity_with_zero_biases(self):
         m = small_model(seed=6)  # biases are initialized to zero
         rng = np.random.default_rng(7)
         x_v, x_t = rng.normal(size=6), rng.normal(size=4)
-        base = fuse_item(x_v, x_t, m).fused
+        base = fuse_one(m, x_v, x_t)
         for lam in (0.5, 2.0, 7.5):
-            scaled = fuse_item(lam * x_v, lam * x_t, m).fused
+            scaled = fuse_one(m, lam * x_v, lam * x_t)
             np.testing.assert_allclose(scaled, lam * base, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         m = small_model()
         with pytest.raises(ValueError):
-            fuse_item(np.zeros(7), np.zeros(4), m)
-
-    def test_per_category_output_path(self):
-        dims = ModelDims(d=8, d_v=6, d_t=4, d_h=5, per_category_visual=True)
-        m = init_model(2, 2, 3, dims, seed=0)
-        rng = np.random.default_rng(0)
-        x_v, x_t = rng.normal(size=6), rng.normal(size=4)
-        by_cat = [fuse_item(x_v, x_t, m, category=c).fused for c in range(3)]
-        assert not np.allclose(by_cat[0], by_cat[1])
-        with pytest.raises(ValueError):
-            fuse_item(x_v, x_t, m)  # category required when the flag is on
+            fuse_items_tensor(m, np.zeros((1, 7)), np.zeros((1, 4)))
 
     def test_gradients_match_finite_differences(self):
         m = small_model(seed=8)

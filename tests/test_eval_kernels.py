@@ -11,6 +11,7 @@ import fashiongraph
 import fashiongraph.dataio as dataio
 import fashiongraph.evaluate as E
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
+from fashiongraph.embed import ModelDims
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import forward
 from fashiongraph.rng import substream
@@ -52,6 +53,16 @@ def test_package_attribute_is_the_evaluate_module():
     assert isinstance(fashiongraph.evaluate, types.ModuleType)
     assert fashiongraph.evaluate is E
     assert callable(fashiongraph.evaluate.evaluate)
+
+
+def test_names_the_benchmark_reads_outside_its_tracer_targets_exist(tiny_ds):
+    # perfbench reads these by name: its tests call E.score_items and
+    # E.rank_outfits, its tracer counts graph.item_edges.tgt, and bench.py
+    # passes ModelDims.linear_compat to its own R-view check.
+    assert callable(E.score_items) and callable(E.rank_outfits)
+    graph = build_fashion_graph(tiny_ds)
+    assert len(graph.item_edges.tgt) == len(graph.levels["item_item"].src) > 0
+    assert ModelDims().linear_compat is False
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import fashiongraph.evaluate as E
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.evaluate import (
     auc,
     evaluate,
-    fltb,
     fltb_accuracy,
     fltb_test_outfits,
     format_report,
@@ -17,6 +17,7 @@ from fashiongraph.evaluate import (
 )
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import PropagationOutput, forward
+from fashiongraph.score import score_items
 from fashiongraph.train import TrainConfig, make_model
 
 
@@ -234,39 +235,55 @@ class TestEvaluate:
         assert len(per_user_rows) == report.n_users_evaluated
 
 
+def fix_fltb_candidates(monkeypatch, w):
+    """Make ``fltb_accuracy`` offer the masked item with the first three pool
+    items, the true item at slot 0, 1, 2, 3 in turn; return the trials."""
+    distractors = sorted(w.splits.compat_negative_pool)[:3]
+    trials = []
+
+    def fixed(ds, pool, pool_by_category, outfit_id, masked_index, rng):
+        true_item = ds.outfits[outfit_id][masked_index]
+        slot = len(trials) % 4
+        candidates = [*distractors[:slot], true_item, *distractors[slot:]]
+        trials.append((outfit_id, masked_index, candidates, slot))
+        return candidates, true_item
+
+    monkeypatch.setattr(E, "_fltb_candidates", fixed)
+    return trials
+
+
 class TestFltb:
-    def test_known_scores_select_max(self):
+    def test_known_scores_select_max(self, monkeypatch):
         w = SmallWorld(seed=8)
-        oid = sorted(w.ds.outfits)[0]
-        members = w.ds.outfits[oid]
-        candidates = [members[0], *sorted(w.splits.compat_negative_pool)[:3]]
-        chosen, correct = fltb(oid, 0, candidates, members[0], w.prop, w.model)
-        scores = []
-        from fashiongraph.score import score_items
+        trials = fix_fltb_candidates(monkeypatch, w)
+        acc, n = fltb_accuracy(w.ds, w.splits, w.prop, w.model, seed=0,
+                               outfit_ids=sorted(w.ds.outfits)[:3], trials_per_outfit=4)
+        assert n == len(trials) == 12
+        correct = 0
+        for oid, masked, candidates, slot in trials:
+            scores = []
+            for cand in candidates:
+                items = list(w.ds.outfits[oid])
+                items[masked] = cand
+                scores.append(score_items(items, w.prop, w.model))
+            correct += int(np.argmax(scores)) == slot
+        assert acc == correct / n
 
-        for cand in candidates:
-            items = list(members)
-            items[0] = cand
-            scores.append(score_items(items, w.prop, w.model))
-        assert chosen == int(np.argmax(scores))
-        assert correct == (candidates[chosen] == members[0])
-
-    def test_tie_takes_lowest_slot(self):
+    def test_tie_takes_lowest_slot(self, monkeypatch):
         w = SmallWorld(seed=9)
-        from dataclasses import replace
-
         w.model.params["view_compat_out"].data[:] = 0.0  # every score is zero
-        oid = sorted(w.ds.outfits)[0]
-        members = w.ds.outfits[oid]
-        candidates = [members[0], *sorted(w.splits.compat_negative_pool)[:3]]
-        chosen, _ = fltb(oid, 0, candidates, members[0], w.prop, w.model)
-        assert chosen == 0
+        trials = fix_fltb_candidates(monkeypatch, w)
+        acc, n = fltb_accuracy(w.ds, w.splits, w.prop, w.model, seed=0,
+                               outfit_ids=sorted(w.ds.outfits)[:1], trials_per_outfit=8)
+        # each trial picks slot 0, which holds the true item in 2 of the 8
+        assert n == 8 and [slot for *_, slot in trials].count(0) == 2
+        assert acc == 0.25
 
     def test_bad_masked_index(self):
         w = SmallWorld(seed=10)
         oid = sorted(w.ds.outfits)[0]
         with pytest.raises(ValueError):
-            fltb(oid, 99, [0, 1, 2, 3], 0, w.prop, w.model)
+            E._substituted(oid, 99, [0, 1, 2, 3], w.graph)
 
     def test_constant_scorer_quarter_accuracy(self):
         # all-equal scores always pick slot 0; the true item lands in slot 0

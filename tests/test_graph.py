@@ -6,7 +6,6 @@ from fashiongraph.graph import (
     build_fashion_graph,
     build_item_item_edges,
     category_cooccurrence_weights,
-    outfit_item_subgraph,
 )
 
 from conftest import make_item, tiny_dataset
@@ -163,69 +162,64 @@ class TestFashionGraph:
         assert graph.n_items == len(tiny_ds.items)
 
 
+def outfit_subgraph(ds: Dataset, outfit_id: int) -> dict[tuple[int, int], float]:
+    """One outfit's complete item graph as the item-item level holds it:
+    (target item id, source item id) -> the edge's co-occurrence prior."""
+    graph = build_fashion_graph(ds)
+    level = graph.levels["item_item"]
+    ids = graph.item_ids.astype(int)
+    members = set(ds.outfits[outfit_id])
+    return {
+        (ids[t], ids[s]): w
+        for t, s, w in zip(level.tgt, level.src, level.prior)
+        if ids[t] in members and ids[s] in members
+    }
+
+
 class TestItemSubgraph:
     def test_three_item_outfit_has_three_edges(self, tiny_ds):
-        cg = category_cooccurrence_weights(tiny_ds)
-        sub = outfit_item_subgraph(101, tiny_ds, cg)
-        assert len(sub.edges) == 3  # C(3, 2)
+        sub = outfit_subgraph(tiny_ds, 101)
+        assert len({frozenset(pair) for pair in sub}) == 3  # C(3, 2)
+        assert len(sub) == 6  # each pair in both directions
 
     def test_same_category_pair_weight(self):
         ds = corpus([["shirt", "shirt"], ["shirt", "pants"]], ["pants", "shirt"])
         cg = category_cooccurrence_weights(ds)
-        sub = outfit_item_subgraph(0, ds, cg)
         shirt = ds.categories.index("shirt")
-        (i, j, w) = sub.edges[0]
-        assert w == cg.weight(shirt, shirt) > 0
+        sub = outfit_subgraph(ds, 0)
+        assert sub[(0, 1)] == sub[(1, 0)] == cg.weight(shirt, shirt) > 0
 
     def test_weights_are_pure_lookup(self, tiny_ds):
         cg1 = category_cooccurrence_weights(tiny_ds)
         cg2 = category_cooccurrence_weights(tiny_ds)
-        for oid in tiny_ds.outfits:
-            assert outfit_item_subgraph(oid, tiny_ds, cg1).edges == \
-                outfit_item_subgraph(oid, tiny_ds, cg2).edges
+        index = {i: k for k, i in enumerate(sorted(tiny_ds.items))}
+        first = build_item_item_edges(tiny_ds, cg1, index)
+        second = build_item_item_edges(tiny_ds, cg2, index)
+        assert np.array_equal(first.tgt, second.tgt) and np.array_equal(first.src, second.src)
+        assert np.array_equal(first.prior, second.prior)
 
     def test_pair_in_one_outfit_has_positive_weight(self):
         # categories co-occurring only inside this outfit still get weight:
         # the corpus count includes the outfit itself.
         ds = corpus([["hat", "boots"]], ["boots", "hat"])
-        cg = category_cooccurrence_weights(ds)
-        sub = outfit_item_subgraph(0, ds, cg)
-        assert sub.edges[0][2] > 0
-
-    def test_unknown_outfit(self, tiny_ds):
-        cg = category_cooccurrence_weights(tiny_ds)
-        with pytest.raises(KeyError):
-            outfit_item_subgraph(999, tiny_ds, cg)
-
-
-def test_export_edge_list(tiny_ds, tmp_path):
-    graph = build_fashion_graph(tiny_ds)
-    path = tmp_path / "edges.tsv"
-    from fashiongraph.graph import export_edge_list
-
-    export_edge_list(graph, tiny_ds, path)
-    lines = path.read_text().splitlines()
-    # 4 interactions + 7 memberships + C(2,2)+C(3,2)+C(2,2) item pairs
-    assert len(lines) == 4 + 7 + (1 + 3 + 1)
-    for line in lines:
-        src, dst, weight = line.split("\t")
-        assert float(weight) >= 0
+        assert all(w > 0 for w in outfit_subgraph(ds, 0).values())
 
 
 def test_item_item_union_edges(tiny_ds):
     graph = build_fashion_graph(tiny_ds)
     # item 1 is in outfits 100 (with 0) and 101 (with 2, 3): union size 3
+    level = graph.levels["item_item"]
     idx = graph.item_index[1]
-    neighbors = set(graph.item_edges.src[graph.item_edges.tgt == idx])
+    neighbors = set(level.src[level.tgt == idx])
     expected = {graph.item_index[0], graph.item_index[2], graph.item_index[3]}
     assert neighbors == expected
     # weights follow the target-category -> source-category direction
     cg = graph.category_graph
-    for e in range(len(graph.item_edges.tgt)):
-        t = int(graph.item_ids[graph.item_edges.tgt[e]])
-        s = int(graph.item_ids[graph.item_edges.src[e]])
+    for e in range(len(level.tgt)):
+        t = int(graph.item_ids[level.tgt[e]])
+        s = int(graph.item_ids[level.src[e]])
         expected_w = cg.weight(tiny_ds.items[t].category, tiny_ds.items[s].category)
-        assert graph.item_edges.weight[e] == expected_w
+        assert level.prior[e] == expected_w
 
 
 def random_corpora():
@@ -277,4 +271,4 @@ def test_pair_tables_match_nested_loop_reference(tiny_ds):
         item_edges = build_item_item_edges(ds, cg, {i: k for k, i in enumerate(sorted(ds.items))})
         np.testing.assert_array_equal(item_edges.tgt, [t for t, _, _ in edges])
         np.testing.assert_array_equal(item_edges.src, [s for _, s, _ in edges])
-        np.testing.assert_allclose(item_edges.weight, [w for _, _, w in edges], rtol=1e-12)
+        np.testing.assert_allclose(item_edges.prior, [w for _, _, w in edges], rtol=1e-12)

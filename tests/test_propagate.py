@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
+import fashiongraph.autodiff as ad
+from fashiongraph.autodiff import Tensor
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.embed import LEVELS, ModelDims, init_model
-from fashiongraph.graph import ItemItemEdges, LevelEdges, build_fashion_graph
-from fashiongraph.propagate import (
-    COOCCURRENCE_EPS,
-    attention_weights,
-    dump_attention,
-    forward,
-    propagate_item_item,
-    propagate_item_outfit,
-    propagate_outfit_user,
-)
+from fashiongraph.graph import LevelEdges, build_fashion_graph
+from fashiongraph.propagate import COOCCURRENCE_EPS, edge_attention_tensor, forward
 from fashiongraph.rng import substream
 from fashiongraph.train import TrainConfig, make_model
+
+from conftest import propagate_level
 
 DIMS = ModelDims(d=8, d_v=6, d_t=4, d_h=5, heads=4, r_views=3, view_hidden=4)
 
@@ -25,6 +21,14 @@ def model(seed=0, dims=DIMS):
 
 def leaky(x, slope=0.2):
     return np.where(x >= 0, x, slope * x)
+
+
+def head_attention(m, level, head, h, tgt, src, n_targets, prior=None):
+    """One head's ``edge_attention_tensor`` weights over hand-built edges."""
+    edges = LevelEdges(tgt, src, n_targets, prior=prior)
+    with ad.no_grad():
+        t = Tensor(h)
+        return edge_attention_tensor(m, level, t, t, edges).data[head]
 
 
 def scratch_level(m, level, h_tgt, h_src, tgt, src, n_targets, bias=None, elementwise=False):
@@ -63,45 +67,33 @@ class TestAttentionWeights:
     def test_single_neighbor_is_one(self):
         m = model()
         h = np.random.default_rng(0).normal(size=(2, 8))
-        alpha = attention_weights(m, "item_item", 0, h, h, np.array([0]), np.array([1]), 2)
+        alpha = head_attention(m, "item_item", 0, h, np.array([0]), np.array([1]), 2)
         np.testing.assert_allclose(alpha, [1.0])
 
     def test_equal_logits_half_half(self):
         m = model()
         h = np.random.default_rng(1).normal(size=(3, 8))
         h[2] = h[1]  # identical sources give identical logits
-        alpha = attention_weights(
-            m, "item_outfit", 1, h, h, np.array([0, 0]), np.array([1, 2]), 3
-        )
+        alpha = head_attention(m, "item_outfit", 1, h, np.array([0, 0]), np.array([1, 2]), 3)
         np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-12)
 
     def test_ln2_logit_gap_gives_two_thirds(self):
         m = model()
         m.params["attn_a_item_item"].data[:] = 0.0  # base logits vanish
         h = np.random.default_rng(2).normal(size=(3, 8))
-        bias = np.array([2.0, 1.0])  # ln-bias difference is ln 2
-        alpha = attention_weights(
-            m, "item_item", 0, h, h, np.array([0, 0]), np.array([1, 2]), 3, bias=bias
+        prior = np.array([2.0, 1.0])  # ln-prior difference is ln 2
+        alpha = head_attention(
+            m, "item_item", 0, h, np.array([0, 0]), np.array([1, 2]), 3, prior=prior
         )
         np.testing.assert_allclose(alpha, [2 / 3, 1 / 3], atol=1e-8)
-
-    def test_unknown_level_and_head(self):
-        m = model()
-        h = np.zeros((2, 8))
-        with pytest.raises(ValueError):
-            attention_weights(m, "nope", 0, h, h, np.array([0]), np.array([1]), 2)
-        with pytest.raises(ValueError):
-            attention_weights(m, "item_item", 9, h, h, np.array([0]), np.array([1]), 2)
 
 
 class TestItemItem:
     def test_no_neighbors_identity_bitwise(self):
         m = model()
         h = np.random.default_rng(3).normal(size=(4, 8))
-        edges = ItemItemEdges(
-            tgt=np.array([1, 2]), src=np.array([2, 1]), weight=np.array([0.5, 0.5])
-        )
-        out, _ = propagate_item_item(edges, h, m)
+        edges = LevelEdges(np.array([1, 2]), np.array([2, 1]), 4, prior=np.array([0.5, 0.5]))
+        out, _ = propagate_level(m, "item_item", h, h, edges)
         assert np.array_equal(out[0], h[0]) and np.array_equal(out[3], h[3])
         assert not np.array_equal(out[1], h[1])
 
@@ -110,10 +102,8 @@ class TestItemItem:
         h = np.random.default_rng(4).normal(size=(3, 8))
         h[1] = 0.0
         h[2] = 0.0
-        edges = ItemItemEdges(
-            tgt=np.array([0, 0]), src=np.array([1, 2]), weight=np.array([1.0, 1.0])
-        )
-        out, _ = propagate_item_item(edges, h, m)
+        edges = LevelEdges(np.array([0, 0]), np.array([1, 2]), 3, prior=np.array([1.0, 1.0]))
+        out, _ = propagate_level(m, "item_item", h, h, edges)
         # messages use h_tgt * h_src = 0, LeakyReLU(0) = 0
         np.testing.assert_array_equal(out[0], h[0])
 
@@ -124,8 +114,8 @@ class TestItemItem:
         tgt = np.array([0, 0, 1, 1, 2, 3, 4])
         src = np.array([1, 2, 0, 3, 0, 1, 0])
         weight = rng.uniform(0.1, 1.0, size=7)
-        edges = ItemItemEdges(tgt=tgt, src=src, weight=weight)
-        out, alpha = propagate_item_item(edges, h, m)
+        edges = LevelEdges(tgt, src, 5, prior=weight)
+        out, alpha = propagate_level(m, "item_item", h, h, edges)
         expected = scratch_level(m, "item_item", h, h, tgt, src, 5, bias=weight,
                                  elementwise=True)
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -139,7 +129,8 @@ class TestItemOutfitAndUser:
         rng = np.random.default_rng(14)
         h_items = rng.normal(size=(graph.n_items, 8))
         h_outfits = rng.normal(size=(graph.n_outfits, 8))
-        out, alpha = propagate_item_outfit(graph, h_items, h_outfits, m)
+        out, alpha = propagate_level(m, "item_outfit", h_outfits, h_items,
+                                     graph.levels["item_outfit"])
         expected = scratch_level(m, "item_outfit", h_outfits, h_items,
                                  graph.oi_tgt, graph.oi_src, graph.n_outfits)
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -149,7 +140,8 @@ class TestItemOutfitAndUser:
         m = model()
         h_items = np.zeros((graph.n_items, 8))
         h_outfits = np.random.default_rng(15).normal(size=(graph.n_outfits, 8))
-        out, _ = propagate_item_outfit(graph, h_items, h_outfits, m)
+        out, _ = propagate_level(m, "item_outfit", h_outfits, h_items,
+                                 graph.levels["item_outfit"])
         np.testing.assert_array_equal(out, h_outfits)
 
     def test_single_neighbor_closed_form(self):
@@ -157,11 +149,8 @@ class TestItemOutfitAndUser:
         rng = np.random.default_rng(17)
         h_o = rng.normal(size=(1, 8))
         h_i = rng.normal(size=(2, 8))
-
-        class G:  # minimal stand-in carrying the one edge's level
-            levels = {"item_outfit": LevelEdges(np.array([0]), np.array([1]), 1)}
-
-        out, alpha = propagate_item_outfit(G, h_i, h_o, m)
+        edges = LevelEdges(np.array([0]), np.array([1]), 1)
+        out, alpha = propagate_level(m, "item_outfit", h_o, h_i, edges)
         np.testing.assert_allclose(alpha, np.ones((4, 1)))
         W2 = m.params["msg_w_item_outfit"].data
         expected = h_o[0] + leaky(W2 @ h_i[1], m.dims.leaky_slope)
@@ -176,7 +165,8 @@ class TestItemOutfitAndUser:
         rng = np.random.default_rng(19)
         h_outfits = rng.normal(size=(graph.n_outfits, 8))
         h_users = rng.normal(size=(graph.n_users, 8))
-        out, _ = propagate_outfit_user(graph, h_outfits, h_users, m)
+        out, _ = propagate_level(m, "outfit_user", h_users, h_outfits,
+                                 graph.levels["outfit_user"])
         cold = graph.user_index[11]
         assert np.array_equal(out[cold], h_users[cold])
 
@@ -186,7 +176,8 @@ class TestItemOutfitAndUser:
         rng = np.random.default_rng(21)
         h_outfits = rng.normal(size=(graph.n_outfits, 8))
         h_users = rng.normal(size=(graph.n_users, 8))
-        out, _ = propagate_outfit_user(graph, h_outfits, h_users, m)
+        out, _ = propagate_level(m, "outfit_user", h_users, h_outfits,
+                                 graph.levels["outfit_user"])
         expected = scratch_level(m, "outfit_user", h_users, h_outfits,
                                  graph.uo_tgt, graph.uo_src, graph.n_users)
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -274,7 +265,7 @@ class TestForward:
         self.m.params["attn_a_item_item"].data[:] = 0.0
         prop = forward(self.graph, self.ds, self.m)
         rec = prop.attention["item_item"]
-        weights = self.graph.item_edges.weight
+        weights = self.graph.levels["item_item"].prior
         for t in np.unique(rec.tgt):
             mask = rec.tgt == t
             w = weights[mask]
@@ -284,12 +275,3 @@ class TestForward:
                 if w[j] > w[i]:
                     assert a[j] > a[i]
 
-    def test_dump_attention_format(self, tmp_path):
-        prop = forward(self.graph, self.ds, self.m)
-        path = tmp_path / "alpha.tsv"
-        dump_attention(prop, path)
-        lines = path.read_text().splitlines()
-        n_edges = sum(rec.alpha.size for rec in prop.attention.values())
-        assert len(lines) == n_edges
-        level, tgt, src, head, alpha = lines[0].split("\t")
-        assert level in LEVELS and float(alpha) >= 0

@@ -8,16 +8,13 @@ from fashiongraph.embed import ModelDims, init_model
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import forward
 from fashiongraph.score import (
-    OutfitMatrix,
+    _rview_maps,
     order_candidates,
     outfit_compat_score,
     rec_score,
-    rview_attention,
-    rview_compat,
-    rview_result,
     rview_scores_tensor,
+    score_item_lists,
     score_items,
-    score_outfit,
     view_scores,
 )
 from fashiongraph.train import TrainConfig, make_model
@@ -31,6 +28,21 @@ def model(seed=0):
 
 def leaky(x, slope=0.2):
     return np.where(x >= 0, x, slope * x)
+
+
+def rview_maps(O, m):
+    """``_rview_maps`` of one outfit matrix O (n, d), no padding: (A, C), each (R, n)."""
+    with ad.no_grad():
+        A, C = _rview_maps(m, Tensor(O.T[None]), np.zeros((1, 1, len(O))))
+    return A.data[0], C.data[0]
+
+
+def rview_attention(O, m):
+    return rview_maps(O, m)[0]
+
+
+def rview_compat(O, m):
+    return rview_maps(O, m)[1]
 
 
 class TestRecScore:
@@ -149,10 +161,13 @@ class TestScoreOutfit:
         self.m = make_model(self.graph, self.ds, self.cfg)
         self.prop = forward(self.graph, self.ds, self.m)
 
+    def outfit_lists(self):
+        return [self.graph.outfit_items[o] for o in sorted(self.ds.outfits)]
+
     def test_deterministic(self):
-        a = score_outfit(0, self.prop, self.m)
-        b = score_outfit(0, self.prop, self.m)
-        assert a == b
+        a = score_item_lists(self.outfit_lists(), self.prop, self.m)
+        b = score_item_lists(self.outfit_lists(), self.prop, self.m)
+        assert np.array_equal(a, b)
 
     def test_permutation_invariance(self):
         items = self.graph.outfit_items[0]
@@ -161,27 +176,25 @@ class TestScoreOutfit:
         np.testing.assert_allclose(fwd, rev, atol=1e-12)
 
     def test_bounded(self):
-        for oid in self.ds.outfits:
-            assert abs(score_outfit(oid, self.prop, self.m)) < 1.0
-
-    def test_unknown_outfit(self):
-        with pytest.raises(KeyError):
-            score_outfit(999, self.prop, self.m)
+        scores = score_item_lists(self.outfit_lists(), self.prop, self.m)
+        assert len(scores) == len(self.ds.outfits) and np.all(np.abs(scores) < 1.0)
 
     def test_rview_result_consistent(self):
         rows = [self.graph.item_index[i] for i in self.graph.outfit_items[2]]
-        res = rview_result(OutfitMatrix(self.prop.h_item_star[rows]), self.m)
-        assert res.score == pytest.approx(score_outfit(2, self.prop, self.m), abs=1e-12)
+        A, C = rview_maps(self.prop.h_item_star[rows], self.m)
+        score = score_items(self.graph.outfit_items[2], self.prop, self.m)
+        assert outfit_compat_score(A, C) == pytest.approx(score, abs=1e-12)
 
     def test_batched_tensor_path_matches_single(self):
         rows = [
             np.array([self.graph.item_index[i] for i in self.graph.outfit_items[o]])
             for o in (0, 1, 2)
         ]
-        scores = rview_scores_tensor(self.m, Tensor(self.prop.h_item_star), rows).data
-        for k, o in enumerate((0, 1, 2)):
-            np.testing.assert_allclose(scores[k], score_outfit(o, self.prop, self.m),
-                                       atol=1e-12)
+        h = Tensor(self.prop.h_item_star)
+        scores = rview_scores_tensor(self.m, h, rows).data
+        for k in range(3):
+            single = rview_scores_tensor(self.m, h, rows[k : k + 1]).data[0]
+            np.testing.assert_allclose(scores[k], single, atol=1e-12)
 
     def test_view_parameter_gradients_match_finite_differences(self):
         rows = [

@@ -1,5 +1,8 @@
-"""The one-item, tape-free and NumPy entry points against the kernels that
-training runs, bit for bit where the arithmetic is the same."""
+"""The kernels that training runs, taken one row, one level or one loss term
+at a time, against the whole pass, bit for bit where the arithmetic is the
+same."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -8,14 +11,9 @@ from fashiongraph import autodiff as ad
 from fashiongraph.autodiff import Tensor
 from fashiongraph.cli import main
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
-from fashiongraph.embed import ModelDims, fuse_item, fuse_items_tensor, init_model, read_arrays
+from fashiongraph.embed import ModelDims, fuse_items_tensor, init_model, read_arrays
 from fashiongraph.graph import build_fashion_graph
-from fashiongraph.propagate import (
-    forward,
-    propagate_item_item,
-    propagate_item_outfit,
-    propagate_outfit_user,
-)
+from fashiongraph.propagate import forward
 from fashiongraph.train import (
     TrainConfig,
     TripleBatch,
@@ -24,6 +22,8 @@ from fashiongraph.train import (
     make_model,
     sample_negatives,
 )
+
+from conftest import propagate_level
 
 
 def small_world(seed=5):
@@ -38,22 +38,19 @@ def small_world(seed=5):
     return ds, splits, graph, cfg, make_model(graph, ds, cfg)
 
 
-@pytest.mark.parametrize("per_category", [False, True])
-def test_fuse_item_is_a_row_of_the_batch(per_category):
-    dims = ModelDims(d=8, d_v=6, d_t=4, d_h=5, per_category_visual=per_category)
-    m = init_model(2, 2, 3, dims, seed=1)
+@pytest.mark.parametrize("on_tape", [False, True])
+def test_fuse_item_is_a_row_of_the_batch(on_tape):
+    m = init_model(2, 2, 3, ModelDims(d=8, d_v=6, d_t=4, d_h=5), seed=1)
     rng = np.random.default_rng(2)
     X_v, X_t = rng.normal(size=(7, 6)), rng.normal(size=(7, 4))
-    cats = np.arange(7) % 3
     with ad.no_grad():
-        batch = fuse_items_tensor(m, X_v, X_t, cats).data
-        rows = [fuse_items_tensor(m, X_v[k : k + 1], X_t[k : k + 1], cats[k : k + 1]).data[0]
-                for k in range(7)]
+        batch = fuse_items_tensor(m, X_v, X_t).data
+    with contextlib.nullcontext() if on_tape else ad.no_grad():
+        rows = [fuse_items_tensor(m, X_v[k : k + 1], X_t[k : k + 1]) for k in range(7)]
     for k in range(7):
-        emb = fuse_item(X_v[k], X_t[k], m, category=int(cats[k]))
-        assert np.array_equal(emb.fused, rows[k])
+        assert rows[k].requires_grad == on_tape
         # BLAS may round a one-row product differently from a 7-row one.
-        np.testing.assert_allclose(emb.fused, batch[k], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rows[k].data[0], batch[k], rtol=0, atol=1e-14)
 
 
 def test_propagate_wrappers_chain_to_forward():
@@ -61,12 +58,13 @@ def test_propagate_wrappers_chain_to_forward():
     prop = forward(graph, ds, m)
     with ad.no_grad():
         h_item = fuse_items_tensor(m, *ds.item_features).data
-    h_item_star, a_ii = propagate_item_item(graph.item_edges, h_item, m)
-    h_outfit_star, a_io = propagate_item_outfit(
-        graph, h_item_star, m.params["outfit_table"].data, m
+    levels = graph.levels
+    h_item_star, a_ii = propagate_level(m, "item_item", h_item, h_item, levels["item_item"])
+    h_outfit_star, a_io = propagate_level(
+        m, "item_outfit", m.params["outfit_table"].data, h_item_star, levels["item_outfit"]
     )
-    h_user_star, a_ou = propagate_outfit_user(
-        graph, h_outfit_star, m.params["user_table"].data, m
+    h_user_star, a_ou = propagate_level(
+        m, "outfit_user", m.params["user_table"].data, h_outfit_star, levels["outfit_user"]
     )
     assert np.array_equal(h_item_star, prop.h_item_star)
     assert np.array_equal(h_outfit_star, prop.h_outfit_star)

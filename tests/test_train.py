@@ -29,6 +29,10 @@ from fashiongraph.train import (
 from conftest import make_item
 
 
+def flat_parameters(m):
+    return np.concatenate([a.ravel() for a in m.to_arrays().values()])
+
+
 class TestBprLoss:
     def test_zero_difference_is_ln2(self):
         assert abs(bpr_rec_loss(1.0, 1.0) - math.log(2)) < 1e-12
@@ -181,10 +185,10 @@ class TestTrainEpoch:
     def test_zero_lr_keeps_parameters_and_matches_eval_loss(self):
         ds, splits, graph, cfg, m = self._setup(lr=0.0, dropout_embed=0.0,
                                                 dropout_attn=0.0)
-        before = m.flat_parameters()
+        before = flat_parameters(m)
         opt = Adam.from_config(cfg)
         stats = train_epoch(m, graph, ds, splits, cfg, opt, epoch=1)
-        assert np.array_equal(m.flat_parameters(), before)
+        assert np.array_equal(flat_parameters(m), before)
         batch = sample_negatives(ds, splits, cfg.seed, 1)
         loss, l_rec, l_comp = batch_loss(m, graph, ds, batch, cfg, mode="eval")
         assert stats.l_rec == pytest.approx(l_rec, abs=1e-12)
@@ -197,7 +201,7 @@ class TestTrainEpoch:
             opt = Adam.from_config(cfg)
             losses = [train_epoch(m, graph, ds, splits, cfg, opt, e).l_total
                       for e in range(1, 4)]
-            results.append((losses, m.flat_parameters()))
+            results.append((losses, flat_parameters(m)))
         assert results[0][0] == results[1][0]
         assert np.array_equal(results[0][1], results[1][1])
 
@@ -308,8 +312,7 @@ class TestGradientCheck:
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
         m.zero_grads()
         loss.backward()
-        grad_norm = np.linalg.norm(m.flat_gradients())
-        assert grad_norm > 0
+        assert any(p.grad is not None and np.any(p.grad) for _, p in m.parameters())
         report = gradient_check(m, twin_graph, twin, batch, cfg, max_per_group=40)
         assert report.max_rel_err < 1e-4
 
