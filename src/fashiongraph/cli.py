@@ -29,7 +29,7 @@ from .dataio import (
     split_interactions,
     write_features,
 )
-from .embed import ModelState, load_checkpoint, save_checkpoint
+from .embed import ModelState, checkpoint_sections, load_checkpoint, write_arrays
 from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits, write_report
 from .graph import FashionGraph, build_fashion_graph
 from .propagate import forward
@@ -196,16 +196,21 @@ def cmd_ingest(rc: RunConfig) -> int:
     return 0
 
 
-def _save_replacing(model: ModelState, path: Path, extra: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint to a temporary file beside ``path`` and move it
-    into place, so ``path`` always holds a whole checkpoint.  A refused write
-    raises ``ValueError`` naming ``path``, not the temporary file."""
+def _sections(path: Path, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``checkpoint_sections`` of ``arrays``; a refusal names ``path``."""
+    try:
+        return checkpoint_sections(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _save_replacing(path: Path, sections: dict[str, np.ndarray]) -> None:
+    """Write checkpoint sections to a temporary file beside ``path`` and
+    move it into place, so ``path`` always holds a whole checkpoint."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        save_checkpoint(model, tmp, extra=extra)
+        write_arrays(tmp, sections)
         os.replace(tmp, path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc.args[0].removeprefix(f'{tmp}: ')}") from None
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -257,27 +262,30 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
                 model, graph, ds, splits, seed=rc.seed, k=rc.k, on="val", include_compat=False
             )
             hr32 = np.float32(val.hr)
-            if hr32 >= best_hr:  # ties go to the later, longer-trained epoch
+            improved = hr32 >= best_hr  # ties go to the later, longer-trained epoch
+            if improved:
                 best_hr = hr32
                 best_epoch = epoch
+            # Both files' sections are cast and checked before either file is
+            # opened, so a refused epoch leaves no file of its own; the
+            # parameters are cast once and shared.
+            params = _sections(best_path if improved else last_path, model.to_arrays())
+            last = {**params, **_sections(last_path, {
+                **optimizer.state_arrays(),
+                "meta/epoch": np.array([epoch], dtype=np.float32),
+                "meta/best_hr": np.array([best_hr], dtype=np.float32),
+                "meta/best_epoch": np.array([best_epoch], dtype=np.float32),
+            })}
+            if improved:
                 _save_replacing(
-                    model, best_path, {"meta/epoch": np.array([epoch], dtype=np.float32)}
+                    best_path, {**params, "meta/epoch": np.array([epoch], dtype=np.float32)}
                 )
             log.write(
                 f"{epoch},{stats.l_rec:.10f},{stats.l_comp:.10f},{stats.l_total:.10f},"
                 f"{val.hr:.10f},{val.ndcg:.10f}\n"
             )
             log.flush()
-            _save_replacing(
-                model,
-                last_path,
-                {
-                    **optimizer.state_arrays(),
-                    "meta/epoch": np.array([epoch], dtype=np.float32),
-                    "meta/best_hr": np.array([best_hr], dtype=np.float32),
-                    "meta/best_epoch": np.array([best_epoch], dtype=np.float32),
-                },
-            )
+            _save_replacing(last_path, last)
     print(f"trained {cfg.epochs} epochs; best val HR@{rc.k} {float(best_hr):.6f} "
           f"at epoch {best_epoch}")
     print(f"checkpoints: {best_path} (best), {last_path} (last); log: {log_path}")

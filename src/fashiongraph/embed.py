@@ -194,17 +194,29 @@ def _all_finite(arr: np.ndarray) -> bool:
     )
 
 
+def checkpoint_sections(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Named arrays as the contiguous little-endian f32 sections a
+    checkpoint stores, in insertion order; an array already in that form is
+    kept, not copied.  Raises ``ValueError`` naming the section when its
+    cast holds a NaN or infinite value."""
+    with np.errstate(over="ignore"):  # an overflow to inf is reported below
+        sections = {name: np.ascontiguousarray(a, dtype="<f4") for name, a in arrays.items()}
+    for name, arr in sections.items():
+        if not _all_finite(arr):
+            raise ValueError(f"section {name!r} holds a non-finite value as float32")
+    return sections
+
+
 def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays as f32 sections; insertion order is preserved.
 
     Raises ``ValueError`` naming ``path`` and the section, before ``path``
     is opened, when a section's f32 cast holds a NaN or infinite value.
     """
-    with np.errstate(over="ignore"):  # an overflow to inf is reported below
-        sections = {name: np.ascontiguousarray(a, dtype="<f4") for name, a in arrays.items()}
-    for name, arr in sections.items():
-        if not _all_finite(arr):
-            raise ValueError(f"{path}: section {name!r} holds a non-finite value as float32")
+    try:
+        sections = checkpoint_sections(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(sections)))

@@ -4,27 +4,32 @@ Per user, every outfit outside the train/validation sets is scored by the
 preference score (no sampled candidate subset) and the top k of them are
 selected without sorting the rest; HR, Recall, Precision, and NDCG are
 computed at k and averaged over users with at least one relevant outfit;
-scores come in user x outfit blocks of ``RANK_BLOCK`` users.  Compatibility is measured by AUC of stored outfits
-against category-template negatives and by fill-in-the-blank accuracy: one
+scores come in user x outfit blocks of ``RANK_BLOCK`` users.
+
+Compatibility is measured by AUC of stored outfits against
+category-template negatives and by fill-in-the-blank (FLTB) accuracy: one
 outfit item is masked and the model must pick it from four candidates by
-compatibility score.  Item lists are drawn first, each metric's from one
-substream in outfit order, then scored in batches.
-"""
+compatibility score.  Each metric draws from its own substream: the AUC
+negatives outfit by outfit, the FLTB trials in a few bulk calls.  Item
+lists are then item rows (stored outfits read off the item-outfit level),
+and each metric scores all of its lists in one call."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import Dataset, Splits, category_pools
+from .dataio import Dataset, Splits
 from .embed import ModelState
 from .graph import FashionGraph
 from .propagate import PropagationOutput, forward
 from .rng import substream
-from .score import score_item_lists, score_items  # noqa: F401 (perfbench reads E.score_items)
+from .score import item_rows, list_rows, outfit_rows, score_rows
+from .score import score_items  # noqa: F401 (perfbench reads E.score_items)
 from .train import category_template_negative
 
 # Users per score block.  Fixed, whatever ``threads`` is: BLAS may round a
@@ -144,58 +149,87 @@ def rank_outfits(
     return ranked.tolist()
 
 
-def _substituted(outfit_id: int, masked_index: int, candidates, graph: FashionGraph):
-    """The outfit's item list with each candidate in turn at ``masked_index``."""
-    members = graph.outfit_items.get(outfit_id)
-    if members is None:
-        raise KeyError(f"unknown outfit id {outfit_id}")
-    if len(members) < 2:
-        raise ValueError(f"outfit {outfit_id} has fewer than 2 items")
-    if not 0 <= masked_index < len(members):
-        raise ValueError(f"masked index {masked_index} out of range")
-    return [[*members[:masked_index], c, *members[masked_index + 1 :]] for c in candidates]
+class FltbTrials(NamedTuple):
+    """FLTB trials in draw order: each trial's outfit, masked position, the
+    four candidate item ids in slot order, and the slot of the masked item."""
 
-
-def _fltb_candidates(
-    ds: Dataset,
-    pool: list[int],
-    pool_by_category: dict[int, np.ndarray],
-    outfit_id: int,
-    masked_index: int,
-    rng: np.random.Generator,
-) -> tuple[list[int], int]:
-    """True item plus three distractors in shuffled order.
-
-    Distractors come from the sorted negative pool, category-matched to the
-    masked item when enough such items exist, then the rest of the pool,
-    then any item outside the outfit.
-    """
-    members = ds.outfits[outfit_id]
-    true_item = members[masked_index]
-    chosen: list[int] = []
-    for source in (pool_by_category.get(ds.items[true_item].category, ()), pool, None):
-        if source is None:  # built only when the pool falls short
-            source = sorted(set(ds.items) - set(members))
-        options = source.tolist() if isinstance(source, np.ndarray) else list(source)
-        for taken in (true_item, *chosen):  # each source holds distinct ids
-            if taken in options:
-                options.remove(taken)
-        while options and len(chosen) < 3:
-            # the index rng.choice(options) draws, without rebuilding the list
-            chosen.append(options.pop(int(rng.integers(len(options)))))
-        if len(chosen) == 3:
-            break
-    if len(chosen) < 3:
-        raise ValueError("not enough items to build FLTB distractors")
-    candidates = [true_item] + chosen
-    order = rng.permutation(4)
-    return [candidates[i] for i in order], true_item
+    outfits: np.ndarray  # (T,)
+    masked: np.ndarray  # (T,)
+    candidates: np.ndarray  # (T, 4)
+    true_slot: np.ndarray  # (T,)
 
 
 def fltb_test_outfits(ds: Dataset, split: Splits) -> list[int]:
     """Outfits appearing in at least one test interaction (all outfits if none)."""
     test_outfits = sorted({o for outfits in split.test.values() for o in outfits})
     return test_outfits if test_outfits else sorted(ds.outfits)
+
+
+def draw_fltb_trials(
+    ds: Dataset, split: Splits, graph: FashionGraph, outfit_ids, seed: int,
+    trials_per_outfit: int = 1,
+) -> FltbTrials:
+    """Draw ``trials_per_outfit`` trials for each of ``outfit_ids`` in turn,
+    all from the ``"fltb"`` substream.
+
+    A trial masks a uniform position of its outfit and adds three distinct
+    distractors from the sorted negative pool (items in no outfit),
+    category-matched to the masked item, and shuffles the four into slots.
+    The generator calls are one ``integers`` for every masked position, one
+    ``integers`` for three distinct positions in each same-category pool of
+    at least three items (each draw picks among the items the earlier ones
+    left, as popping from a list does), and one ``permuted`` for every slot
+    order.  A trial whose category pool is shorter then draws trial by trial
+    from its category pool, the rest of the pool, then any item outside the
+    outfit.
+    """
+    if trials_per_outfit < 0:
+        raise ValueError(f"trials per outfit must be >= 0, got {trials_per_outfit}")
+    outfits = np.repeat(np.asarray(outfit_ids, dtype=np.int64), trials_per_outfit)
+    rows, lengths = outfit_rows(graph, outfits)
+    rng = substream(seed, "fltb")
+    masked = rng.integers(lengths)
+    true_items = graph.item_ids[rows[np.cumsum(lengths) - lengths + masked]].astype(np.int64)
+    categories = np.array([ds.items[i].category for i in true_items.tolist()], dtype=np.int64)
+
+    # The pool sorted by (category, id): category c's items are one run.
+    pool = np.array(sorted(split.compat_negative_pool), dtype=np.int64)
+    pool_categories = np.array([ds.items[i].category for i in pool.tolist()], dtype=np.int64)
+    by_category = pool[np.argsort(pool_categories, kind="stable")]
+    sizes = np.bincount(pool_categories, minlength=len(ds.categories))
+    starts = np.cumsum(sizes) - sizes
+
+    candidates = np.empty((len(outfits), 4), dtype=np.int64)
+    candidates[:, 0] = true_items
+    bulk = sizes[categories] >= 3
+    n = sizes[categories[bulk]]
+    k = rng.integers(np.stack([n, n - 1, n - 2], axis=1))
+    first = k[:, 0]
+    second = k[:, 1] + (k[:, 1] >= first)
+    third = k[:, 2] + (k[:, 2] >= np.minimum(first, second))
+    third += third >= np.maximum(first, second)
+    picks = np.stack([first, second, third], axis=1)
+    candidates[bulk, 1:] = by_category[starts[categories[bulk], None] + picks]
+    order = rng.permuted(np.tile(np.arange(4), (len(outfits), 1)), axis=1)
+
+    for t in np.flatnonzero(~bulk).tolist():
+        c = categories[t]
+        same = by_category[starts[c] : starts[c] + sizes[c]].tolist()
+        chosen: list[int] = []
+        for source in (same, pool.tolist(), None):
+            if source is None:  # built only when the pool falls short
+                source = sorted(set(ds.items) - set(ds.outfits[int(outfits[t])]))
+            options = [i for i in source if i != true_items[t] and i not in chosen]
+            while options and len(chosen) < 3:
+                chosen.append(options.pop(int(rng.integers(len(options)))))
+            if len(chosen) == 3:
+                break
+        if len(chosen) < 3:
+            raise ValueError("not enough items to build FLTB distractors")
+        candidates[t, 1:] = chosen
+    return FltbTrials(
+        outfits, masked, np.take_along_axis(candidates, order, axis=1), np.argmin(order, axis=1)
+    )
 
 
 def fltb_accuracy(
@@ -207,31 +241,26 @@ def fltb_accuracy(
     outfit_ids=None,
     trials_per_outfit: int = 1,
 ) -> tuple[float, int]:
-    """Mean FLTB correctness over the test outfits, scored in one batch."""
+    """Mean FLTB correctness over the test outfits, scored in one call."""
     outfit_ids = fltb_test_outfits(ds, split) if outfit_ids is None else list(outfit_ids)
-    pool = sorted(split.compat_negative_pool)
-    pool_by_category = category_pools(ds, pool)
-    rng = substream(seed, "fltb")  # one stream, outfit by outfit, trial by trial
-    lists, trials = [], []
-    for oid in outfit_ids:
-        for _ in range(trials_per_outfit):
-            masked_index = int(rng.integers(len(ds.outfits[oid])))
-            candidates, true_item = _fltb_candidates(
-                ds, pool, pool_by_category, oid, masked_index, rng
-            )
-            lists += _substituted(oid, masked_index, candidates, prop.graph)
-            trials.append(candidates.index(true_item))
-    if not trials:
+    trials = draw_fltb_trials(ds, split, prop.graph, outfit_ids, seed, trials_per_outfit)
+    n_trials = len(trials.outfits)
+    if not n_trials:
         return 0.0, 0
+    # Each trial's outfit four times over, a candidate in its masked position.
+    rows, lengths = outfit_rows(prop.graph, np.repeat(trials.outfits, 4))
+    masked = np.cumsum(lengths) - lengths + np.repeat(trials.masked, 4)
+    rows[masked] = item_rows(prop.graph, trials.candidates.ravel())
     # argmax takes the first maximum per row, so ties go to the lowest slot.
-    chosen = score_item_lists(lists, prop, m).reshape(len(trials), 4).argmax(axis=1)
-    return int(np.count_nonzero(chosen == np.array(trials))) / len(trials), len(trials)
+    chosen = score_rows(rows, lengths, prop, m).reshape(n_trials, 4).argmax(axis=1)
+    return int(np.count_nonzero(chosen == trials.true_slot)) / n_trials, n_trials
 
 
 def compat_auc(
     ds: Dataset, prop: PropagationOutput, m: ModelState, seed: int
 ) -> float | None:
-    """AUC of stored-outfit scores against category-template negatives."""
+    """AUC of stored-outfit scores against category-template negatives,
+    both scored in one call."""
     outfit_ids = sorted(ds.outfits)
     rng = substream(seed, "auc")  # one stream, in sorted outfit order
     drawn = [
@@ -241,8 +270,11 @@ def compat_auc(
     negatives = [n for n in drawn if n is not None]
     if not negatives:
         return None
-    pos = score_item_lists([prop.graph.outfit_items[o] for o in outfit_ids], prop, m)
-    return auc(pos, score_item_lists(negatives, prop, m))
+    pos_rows, pos_lengths = outfit_rows(prop.graph, outfit_ids)
+    neg_rows, neg_lengths = list_rows(prop.graph, negatives)
+    scores = score_rows(np.concatenate([pos_rows, neg_rows]),
+                        np.concatenate([pos_lengths, neg_lengths]), prop, m)
+    return auc(scores[: len(outfit_ids)], scores[len(outfit_ids) :])
 
 
 def evaluate(

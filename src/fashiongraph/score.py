@@ -1,25 +1,33 @@
 """Preference and compatibility scoring.
 
 A user's preference for an outfit is the inner product of their updated
-embeddings.  Outfit compatibility stacks the outfit's updated item
-embeddings into a matrix O (n x d) and evaluates R parallel views:
+embeddings.  Outfit compatibility evaluates R parallel views over the
+outfit's updated item embeddings h_1 .. h_n.  Each view's two maps act on
+one item alone, so they are computed once per item row:
 
-    A = row_softmax(W_a_out . LeakyReLU(W_a_in . O^T))   (R x n, rows sum to 1)
-    C = tanh(W_c_out . LeakyReLU(W_c_in . O^T))          (R x n, entries in (-1, 1))
-    s = (1/R) sum_r a_r . c_r
+    l_i = W_a_out . LeakyReLU(W_a_in . h_i)         (R,) attention logits
+    c_i = tanh(W_c_out . LeakyReLU(W_c_in . h_i))   (R,) fit, in (-1, 1)
 
-Each view weighs the items (A) and scores their fit (C); the final score
+Only the softmax over the outfit's items mixes rows:
+
+    a_ri = exp(l_ri) / sum_j exp(l_rj)              (each view sums to 1)
+    s = (1/R) sum_r sum_i a_ri c_ri
+
+Each view weighs the items (a) and scores their fit (c); the final score
 is the mean of the per-view weighted scores, so it stays in (-1, 1)
 regardless of R.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .embed import ModelState
+from .graph import FashionGraph
 from .propagate import PropagationOutput
 
 PAD_LOGIT = -1e30
@@ -48,13 +56,53 @@ def outfit_compat_score(A: np.ndarray, C: np.ndarray) -> float:
     return float(view_scores(A, C).mean())
 
 
-def score_item_lists(item_lists, prop: PropagationOutput, m: ModelState) -> np.ndarray:
-    """Compatibility scores of many item combinations: one tape-free
-    ``rview_scores_tensor`` pass over the updated item rows."""
-    index = prop.graph.item_index
-    rows = [np.array([index[i] for i in items], dtype=np.int64) for items in item_lists]
+def _lookup(keys: np.ndarray, ids, what: str) -> np.ndarray:
+    """Positions of ``ids`` in the sorted id array ``keys``; raises
+    ``KeyError`` naming the first id that ``keys`` does not hold."""
+    ids = np.asarray(ids, dtype=np.int64)
+    wanted = ids.astype(keys.dtype)  # a negative id wraps, and is unknown
+    found = np.searchsorted(keys, wanted)
+    known = (found < len(keys)) & (ids >= 0)
+    known[known] = keys[found[known]] == wanted[known]
+    if not known.all():
+        raise KeyError(f"unknown {what} id {ids[~known][0]}")
+    return found
+
+
+def item_rows(graph: FashionGraph, item_ids) -> np.ndarray:
+    """The row of each of ``item_ids`` in the graph's item tables."""
+    return _lookup(graph.item_ids, item_ids, "item")
+
+
+def list_rows(graph: FashionGraph, item_lists) -> tuple[np.ndarray, np.ndarray]:
+    """Item rows of lists of item ids, as flat rows and one length per list."""
+    lengths = np.fromiter(map(len, item_lists), dtype=np.int64, count=len(item_lists))
+    ids = np.fromiter(chain.from_iterable(item_lists), dtype=np.int64, count=lengths.sum())
+    return item_rows(graph, ids), lengths
+
+
+def outfit_rows(graph: FashionGraph, outfit_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Item rows of stored outfits, in outfit order, as flat rows and one
+    length per outfit: runs of the item-outfit level's target-sorted edges."""
+    level = graph.levels["item_outfit"]
+    outfits = _lookup(graph.outfit_ids, outfit_ids, "outfit")
+    first = np.searchsorted(level.tgt, outfits)
+    lengths = np.searchsorted(level.tgt, outfits, side="right") - first
+    shift = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    return level.src[np.arange(len(shift)) + shift], lengths
+
+
+def score_rows(rows: np.ndarray, lengths: np.ndarray, prop: PropagationOutput,
+               m: ModelState) -> np.ndarray:
+    """Compatibility scores of item lists given as flat updated-item rows
+    and one length per list: one tape-free ``rview_scores_tensor`` call."""
     with ad.no_grad():
-        return rview_scores_tensor(m, Tensor(prop.h_item_star), rows).data
+        return rview_scores_tensor(m, Tensor(prop.h_item_star), rows, lengths).data
+
+
+def score_item_lists(item_lists, prop: PropagationOutput, m: ModelState) -> np.ndarray:
+    """Compatibility scores of many item combinations."""
+    return score_rows(*list_rows(prop.graph, item_lists), prop, m)
 
 
 def score_items(item_ids, prop: PropagationOutput, m: ModelState) -> float:
@@ -62,40 +110,50 @@ def score_items(item_ids, prop: PropagationOutput, m: ModelState) -> float:
     return float(score_item_lists([item_ids], prop, m)[0])
 
 
-def rview_scores_tensor(m: ModelState, h_items: Tensor, item_rows: list[np.ndarray]) -> Tensor:
-    """Differentiable compatibility scores for a batch of item-row lists.
-
-    Outfits of different sizes are padded; padded positions receive a large
-    negative attention logit, so they carry exactly zero weight and zero
-    gradient.  Returns a (batch,) tensor.
-    """
-    if not item_rows:
-        raise ValueError("empty batch")
-    lengths = np.array([len(r) for r in item_rows])
-    present = np.arange(lengths.max()) < lengths[:, None]  # (B, n_max)
-    idx = np.zeros(present.shape, dtype=np.int64)
-    idx[present] = np.concatenate(item_rows)
-    pad_bias = np.where(present, 0.0, PAD_LOGIT).astype(m.dtype)[:, None, :]
-    O = ad.reshape(ad.gather(h_items, idx.ravel(), axis=0), (*present.shape, m.dims.d))
-    A, C = _rview_maps(m, ad.transpose(O, (0, 2, 1)), pad_bias)
-    return ad.sum_(A * C, axis=(1, 2)) / float(m.dims.r_views)
-
-
-def _rview_maps(m: ModelState, O_T: Tensor, pad_bias: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Attention A and compatibility C, each (B, R, n), of the transposed
-    outfit matrices ``O_T`` (B, d, n); ``pad_bias`` (B, 1, n) is 0 on items
-    and PAD_LOGIT on padding.  C lies in (-1, 1), though in floating point
-    tanh rounds to exactly 1.0 once its argument exceeds about 19."""
+def view_maps(m: ModelState, h_items: Tensor) -> tuple[Tensor, Tensor]:
+    """Attention logits L and fits C of every row of ``h_items`` (n, d),
+    each (R, n).  C lies in (-1, 1), though in floating point tanh rounds
+    to exactly 1.0 once its argument exceeds about 19."""
     slope = m.dims.leaky_slope
-    att_hidden = ad.leaky_relu(ad.matmul(m.params["view_attn_in"], O_T), slope)
-    logits = ad.matmul(m.params["view_attn_out"], att_hidden) + Tensor(pad_bias)
-    row_max = logits.data.max(axis=2, keepdims=True)
-    z = ad.exp(logits - Tensor(row_max))
-    A = z / ad.sum_(z, axis=2, keepdims=True)
-
-    comp_hidden = ad.leaky_relu(ad.matmul(m.params["view_compat_in"], O_T), slope)
+    h_T = ad.transpose(h_items, (1, 0))
+    att_hidden = ad.leaky_relu(ad.matmul(m.params["view_attn_in"], h_T), slope)
+    logits = ad.matmul(m.params["view_attn_out"], att_hidden)
+    comp_hidden = ad.leaky_relu(ad.matmul(m.params["view_compat_in"], h_T), slope)
     pre = ad.matmul(m.params["view_compat_out"], comp_hidden)
-    return A, (pre if m.dims.linear_compat else ad.tanh(pre))
+    return logits, (pre if m.dims.linear_compat else ad.tanh(pre))
+
+
+def rview_scores_tensor(
+    m: ModelState, h_items: Tensor, rows: np.ndarray, lengths: np.ndarray
+) -> Tensor:
+    """Differentiable compatibility scores of a batch of item lists.
+
+    List b holds the next ``lengths[b]`` of the flat item ``rows`` of
+    ``h_items``.  The per-item maps are computed once per row of
+    ``h_items``; lists are padded to the longest, and padded positions
+    receive a large negative attention logit, so they carry exactly zero
+    weight and zero gradient.  Returns a (batch,) tensor.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if not len(lengths):
+        raise ValueError("empty batch")
+    if lengths.min() < 1 or lengths.sum() != len(rows):
+        raise ValueError("every list needs at least one item, and the lengths must cover rows")
+    # Item slots run along axis 1 of (R, n_max, B) arrays, so every
+    # reduction over a list's items adds whole rows of B values.
+    present = np.arange(lengths.max())[:, None] < lengths  # (n_max, B)
+    idx = np.zeros(present.shape, dtype=np.int64)
+    idx.T[present.T] = rows
+    pad_bias = np.where(present, 0.0, PAD_LOGIT).astype(m.dtype)
+    logits, C = view_maps(m, h_items)
+    shape = (m.dims.r_views, *present.shape)
+    logits = ad.reshape(ad.gather(logits, idx.ravel(), axis=1), shape) + Tensor(pad_bias)
+    z = ad.exp(logits - Tensor(logits.data.max(axis=1, keepdims=True)))
+    A = z / ad.sum_(z, axis=1, keepdims=True)
+    C = ad.reshape(ad.gather(C, idx.ravel(), axis=1), shape)
+    # Items first, then views: the float64 summation order reports rest on.
+    per_view = ad.sum_(A * C, axis=1)  # (R, B)
+    return ad.sum_(per_view, axis=0) / float(m.dims.r_views)
 
 
 def order_candidates(candidate_ids, scores: dict[int, float]) -> list[int]:

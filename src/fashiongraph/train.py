@@ -30,7 +30,7 @@ from .embed import ModelDims, ModelState, init_model
 from .graph import FashionGraph
 from .propagate import forward_tensors
 from .rng import substream
-from .score import rview_scores_tensor
+from .score import list_rows, outfit_rows, rview_scores_tensor
 
 
 class TrainingDivergedError(RuntimeError):
@@ -265,14 +265,16 @@ def batch_loss(
         l_rec = pairwise(y_pos, y_neg, cfg.lambda_rec)
 
     if batch.n_comp:
-        item_index = graph.item_index
-        pos_rows = [
-            np.array([item_index[i] for i in graph.outfit_items[o]]) for o in batch.comp_pos
-        ]
-        neg_rows = [np.array([item_index[i] for i in items]) for items in batch.comp_neg]
-        s_pos = rview_scores_tensor(m, ft.h_item_star, pos_rows)
-        s_neg = rview_scores_tensor(m, ft.h_item_star, neg_rows)
-        l_comp = pairwise(s_pos, s_neg, cfg.lambda_comp)
+        # Positives and negatives in one call, so they share the per-item maps.
+        pos_rows, pos_lengths = outfit_rows(graph, batch.comp_pos)
+        neg_rows, neg_lengths = list_rows(graph, batch.comp_neg)
+        scores = rview_scores_tensor(
+            m, ft.h_item_star, np.concatenate([pos_rows, neg_rows]),
+            np.concatenate([pos_lengths, neg_lengths]),
+        )
+        n = batch.n_comp
+        l_comp = pairwise(ad.narrow(scores, 0, 0, n), ad.narrow(scores, 0, n, 2 * n),
+                          cfg.lambda_comp)
 
     if cfg.l2 > 0:
         terms.append(Tensor(np.asarray(cfg.l2, dtype=m.dtype)) * ad.sum_squares(m.params.values()))

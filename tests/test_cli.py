@@ -299,13 +299,14 @@ class TestBadFilesExitOne:
         visual[min(visual)][0] = 3e38  # finite as float32; its squares are not
         write_features(paths["visual"], visual)
         out = tmp_path / "out"
-        # Epoch 1 writes best.ckpt, then last.ckpt, whose Adam moments are
-        # the first to leave float32's range.  The message names last.ckpt,
-        # not the temporary file it was written through, which is gone.
+        # Epoch 1 would write best.ckpt, then last.ckpt, whose Adam moments
+        # are the first to leave float32's range.  Both files are checked
+        # before either is opened, so the refusal names last.ckpt and leaves
+        # no checkpoint, temporary file or log line behind.
         assert main(["train", "--config", str(self._files_cfg(tmp_path, paths))]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and ".tmp" not in err, err
         assert f"error: {out / 'last.ckpt'}: section 'opt/v/user_table'" in err, err
         assert "non-finite" in err, err
-        assert sorted(p.name for p in out.iterdir()) == ["best.ckpt", "train_log.csv"]
-        read_arrays(out / "best.ckpt")
+        assert sorted(p.name for p in out.iterdir()) == ["train_log.csv"]
+        assert (out / "train_log.csv").read_text() == ""

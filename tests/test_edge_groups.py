@@ -167,7 +167,7 @@ def test_tape_nodes_per_batch(grad_fixture):
     m = make_model(graph, ds, cfg)
     batch = sample_negatives(ds, splits, seed=3)
     loss, _, _ = batch_loss(m, graph, ds, batch, cfg, mode="eval")
-    assert len(ad._topo_order(loss)) == 156
+    assert len(ad._topo_order(loss)) == 143
     rng = substream(3, "dropout", 0, 0)
     loss, _, _ = batch_loss(m, graph, ds, batch, cfg, mode="train", rng=rng)
-    assert len(ad._topo_order(loss)) == 174
+    assert len(ad._topo_order(loss)) == 161

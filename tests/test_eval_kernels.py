@@ -1,5 +1,5 @@
 """Block ranking and batched R-view scoring against their per-pair and
-per-outfit references."""
+per-outfit references, and the bulk FLTB draws against their rules."""
 
 import dataclasses
 import types
@@ -138,51 +138,6 @@ def test_top_k_with_nan_scores_is_the_head_of_the_stable_sort():
         assert E._best_first(scores, None).tolist() == np.argsort(-scores, kind="stable").tolist()
 
 
-def choice_fltb_candidates(ds, pool, pool_by_category, outfit_id, masked_index, rng):
-    """The distractor draw as it was made with one ``rng.choice`` per pick."""
-    members = ds.outfits[outfit_id]
-    true_item = members[masked_index]
-    chosen: list[int] = []
-    for source in (pool_by_category.get(ds.items[true_item].category, ()), pool, None):
-        if source is None:  # built only when the pool falls short
-            source = sorted(set(ds.items) - set(members))
-        options = [i for i in source if i not in chosen and i != true_item]
-        while options and len(chosen) < 3:
-            pick = int(rng.choice(options))
-            chosen.append(pick)
-            options.remove(pick)
-        if len(chosen) == 3:
-            break
-    if len(chosen) < 3:
-        raise ValueError("not enough items to build FLTB distractors")
-    candidates = [true_item] + chosen
-    order = rng.permutation(4)
-    return [candidates[i] for i in order], true_item
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_fltb_draws_equal_per_pick_choice(seed):
-    ds, splits, *_ = world(seed, n_items=200, n_categories=4)
-    full = sorted(splits.compat_negative_pool)
-    short_category = short_pool = 0
-    # The full pool, one short enough that the category pool falls back to the
-    # rest of it, and ones so short that the whole pool falls back.
-    for pool in (full, full[:12], full[:4], full[:1], []):
-        pools = category_pools(ds, pool)
-        for oid in sorted(ds.outfits):
-            for masked in range(len(ds.outfits[oid])):
-                true_item = ds.outfits[oid][masked]
-                same = len(pools.get(ds.items[true_item].category, ()))
-                short_category += same < 3 <= len(pool)
-                short_pool += len(pool) < 3
-                new, old = (substream(seed, "fltb", oid, masked) for _ in range(2))
-                got = E._fltb_candidates(ds, pool, pools, oid, masked, new)
-                assert got == choice_fltb_candidates(ds, pool, pools, oid, masked, old)
-                assert all(type(i) is int for i in got[0])
-                assert new.integers(1 << 62) == old.integers(1 << 62)
-    assert short_category > 0 and short_pool > 0
-
-
 def test_evaluate_rows_match_per_pair_reference():
     ds, splits, graph, m, prop = world(3)
     report = E.evaluate(m, graph, ds, splits, seed=3, include_compat=False, prop=prop)
@@ -235,16 +190,17 @@ def auc_lists(ds, prop, seed):
     return pos, [n for n in neg if n is not None]
 
 
-def fltb_trials(ds, splits, seed, trials_per_outfit=1):
-    """(outfit, masked index, candidates, true item) in ``fltb_accuracy``'s draw order."""
-    pool = sorted(splits.compat_negative_pool)
-    pools = category_pools(ds, pool)
-    rng = substream(seed, "fltb")
+def fltb_trials(ds, splits, graph, seed, trials_per_outfit=1):
+    """``fltb_accuracy``'s trials, each with its four item lists: the outfit
+    with each candidate in turn in the masked position."""
+    trials = E.draw_fltb_trials(
+        ds, splits, graph, E.fltb_test_outfits(ds, splits), seed, trials_per_outfit
+    )
     out = []
-    for oid in E.fltb_test_outfits(ds, splits):
-        for _ in range(trials_per_outfit):
-            masked = int(rng.integers(len(ds.outfits[oid])))
-            out.append((oid, masked, *E._fltb_candidates(ds, pool, pools, oid, masked, rng)))
+    for oid, masked, candidates, slot in zip(*trials):
+        members = ds.outfits[int(oid)]
+        lists = [[*members[:masked], int(c), *members[masked + 1 :]] for c in candidates]
+        out.append((lists, int(slot)))
     return out
 
 
@@ -252,11 +208,7 @@ def fltb_trials(ds, splits, seed, trials_per_outfit=1):
 def test_batched_scores_match_single_outfit_scores(dtype):
     ds, splits, graph, m, prop = world(5, dtype=dtype)
     pos, neg = auc_lists(ds, prop, seed=5)
-    fltb_lists = [
-        items
-        for oid, masked, candidates, _ in fltb_trials(ds, splits, seed=5)
-        for items in E._substituted(oid, masked, candidates, graph)
-    ]
+    fltb_lists = [items for lists, _ in fltb_trials(ds, splits, graph, seed=5) for items in lists]
     for lists in (pos, neg, fltb_lists):
         batched = score_item_lists(lists, prop, m)
         single = np.array([score_items(items, prop, m) for items in lists])
@@ -273,12 +225,10 @@ def test_compat_auc_and_fltb_equal_per_outfit_loops():
                        [score_items(n, prop, m) for n in neg])
     assert E.compat_auc(ds, prop, m, seed=6) == single_auc
 
-    trials = fltb_trials(ds, splits, seed=6, trials_per_outfit=3)
+    trials = fltb_trials(ds, splits, graph, seed=6, trials_per_outfit=3)
     correct = 0
-    for oid, masked, candidates, true_item in trials:
-        scores = [score_items(items, prop, m)
-                  for items in E._substituted(oid, masked, candidates, graph)]
-        correct += candidates[int(np.argmax(scores))] == true_item
+    for lists, slot in trials:
+        correct += int(np.argmax([score_items(items, prop, m) for items in lists])) == slot
     got = E.fltb_accuracy(ds, splits, prop, m, seed=6, trials_per_outfit=3)
     assert got == (correct / len(trials), len(trials))
 
@@ -286,8 +236,8 @@ def test_compat_auc_and_fltb_equal_per_outfit_loops():
 def test_batched_fltb_ties_take_lowest_slot():
     ds, splits, graph, m, prop = world(7)
     m.params["view_compat_out"].data[:] = 0.0  # every score is exactly zero
-    trials = fltb_trials(ds, splits, seed=7, trials_per_outfit=4)
-    in_slot_zero = sum(candidates[0] == true_item for _, _, candidates, true_item in trials)
+    trials = fltb_trials(ds, splits, graph, seed=7, trials_per_outfit=4)
+    in_slot_zero = sum(slot == 0 for _, slot in trials)
     got = E.fltb_accuracy(ds, splits, prop, m, seed=7, trials_per_outfit=4)
     assert got == (in_slot_zero / len(trials), len(trials))
 
@@ -361,3 +311,119 @@ def test_loaded_features_are_held_once(tmp_path):
         assert np.shares_memory(X_t[k], loaded.items[iid].textual)
         np.testing.assert_array_equal(X_v[k], ds.items[iid].visual)
         assert cats[k] == ds.items[iid].category
+
+
+def draws(seed, trials_per_outfit=1, pool_size=None, **synth):
+    """World ``seed``'s FLTB trials over every outfit, optionally with only
+    the first ``pool_size`` items of the sorted negative pool."""
+    ds, splits, graph, _, _ = world(seed, **synth)
+    if pool_size is not None:
+        pool = frozenset(sorted(splits.compat_negative_pool)[:pool_size])
+        splits = dataclasses.replace(splits, compat_negative_pool=pool)
+    trials = E.draw_fltb_trials(ds, splits, graph, sorted(ds.outfits), seed, trials_per_outfit)
+    return ds, splits, trials
+
+
+# Category pools of 18-22 items (the bulk draw), of 2-3 items as on desk
+# data (mostly the trial-by-trial fallback), and a pool too short to fill a
+# trial.
+FLTB_WORLDS = [
+    dict(n_items=200, n_categories=4),
+    dict(n_items=60, n_outfits=40, n_users=20),
+    dict(pool_size=2),
+]
+
+
+@pytest.mark.parametrize("synth", FLTB_WORLDS)
+def test_fltb_draws_repeat_under_a_seed(synth):
+    first, second, other = (draws(s, 3, **synth)[2] for s in (2, 2, 3))
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(first.candidates, other.candidates)
+
+
+@pytest.mark.parametrize("synth", FLTB_WORLDS)
+def test_fltb_distractors_are_distinct_non_members(synth):
+    ds, _, trials = draws(4, 5, **synth)
+    assert trials.candidates.shape == (5 * len(ds.outfits), 4)
+    for oid, masked, candidates, slot in zip(*trials):
+        members = ds.outfits[int(oid)]
+        assert candidates[slot] == members[masked]
+        distractors = [int(c) for k, c in enumerate(candidates) if k != slot]
+        assert len(set(distractors)) == 3
+        assert not set(distractors) & set(members)
+
+
+@pytest.mark.parametrize("synth", FLTB_WORLDS)
+def test_fltb_distractors_follow_the_pool_order(synth):
+    # Three items of the masked item's category whenever the pool holds
+    # three; otherwise all of them, then the rest of the pool, then any
+    # item outside the outfit.
+    ds, splits, trials = draws(5, 5, **synth)
+    pool = splits.compat_negative_pool
+    sources = set()
+    for oid, masked, candidates, slot in zip(*trials):
+        category = ds.items[ds.outfits[int(oid)][masked]].category
+        same = {i for i in pool if ds.items[i].category == category}
+        distractors = {int(c) for k, c in enumerate(candidates) if k != slot}
+        if len(same) >= 3:
+            assert distractors <= same
+            sources.add("category")
+        elif len(pool) >= 3:
+            assert same <= distractors <= pool
+            sources.add("pool")
+        else:
+            assert pool <= distractors
+            sources.add("outside")
+    expected = {0: {"category"}, 1: {"category", "pool"}, 2: {"outside"}}
+    assert sources == expected[FLTB_WORLDS.index(synth)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fltb_bulk_distractors_equal_list_pops(seed):
+    # The bulk draw maps its integers k as popping from a list does: the
+    # first pick takes position k0, the second the k1-th of the rest, ...
+    ds, splits, trials = draws(seed, 2, n_items=200, n_categories=4)
+    pools = category_pools(ds, sorted(splits.compat_negative_pool))
+    sizes = np.array([len(ds.outfits[int(o)]) for o in trials.outfits])
+    rng = substream(seed, "fltb")
+    assert np.array_equal(rng.integers(sizes), trials.masked)
+    true_items = [ds.outfits[int(o)][k] for o, k in zip(trials.outfits, trials.masked)]
+    options = [pools[ds.items[i].category].tolist() for i in true_items]
+    assert min(map(len, options)) >= 3  # every trial takes the bulk draw
+    picks = rng.integers(np.array([[len(o), len(o) - 1, len(o) - 2] for o in options]))
+    order = rng.permuted(np.tile(np.arange(4), (len(options), 1)), axis=1)
+    for t, (opts, k) in enumerate(zip(options, picks)):
+        expected = [true_items[t], *(opts.pop(int(j)) for j in k)]
+        assert trials.candidates[t].tolist() == [expected[j] for j in order[t]]
+        assert trials.true_slot[t] == order[t].tolist().index(0)
+
+
+def test_fltb_true_slot_and_bulk_picks_are_uniform():
+    # 60 outfits x 100 trials: each slot count is Binomial(6000, 1/4), sd
+    # 33.5; each pool item's pick count is near 3/n of its category's trials.
+    ds, splits, trials = draws(7, 100, n_items=200, n_categories=4)
+    n = len(trials.true_slot)
+    counts = np.bincount(trials.true_slot, minlength=4)
+    assert np.all(np.abs(counts - n / 4) < 4 * np.sqrt(n * 0.25 * 0.75)), counts
+    picked = {}
+    for candidates, slot in zip(trials.candidates, trials.true_slot):
+        for k, c in enumerate(candidates.tolist()):
+            if k != slot:
+                picked[c] = picked.get(c, 0) + 1
+    for items in category_pools(ds, sorted(splits.compat_negative_pool)).values():
+        n_trials = sum(picked.get(int(i), 0) for i in items) / 3
+        p = 3 / len(items)
+        for i in items:
+            expected = n_trials * p
+            assert abs(picked.get(int(i), 0) - expected) < 5 * np.sqrt(expected * (1 - p)), i
+
+
+def test_fltb_trials_per_outfit_repeat_each_outfit_in_order():
+    ds, splits, trials = draws(8, 6, n_items=200, n_categories=4)
+    assert trials.outfits.tolist() == [o for o in sorted(ds.outfits) for _ in range(6)]
+    assert len(set(trials.masked.tolist())) > 1
+    graph = build_fashion_graph(ds, splits)
+    assert E.draw_fltb_trials(ds, splits, graph, [], 8).candidates.shape == (0, 4)
+    with pytest.raises(ValueError, match="trials per outfit"):
+        E.draw_fltb_trials(ds, splits, graph, [0], 8, trials_per_outfit=-1)

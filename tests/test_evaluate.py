@@ -235,27 +235,30 @@ class TestEvaluate:
         assert len(per_user_rows) == report.n_users_evaluated
 
 
-def fix_fltb_candidates(monkeypatch, w):
-    """Make ``fltb_accuracy`` offer the masked item with the first three pool
-    items, the true item at slot 0, 1, 2, 3 in turn; return the trials."""
+def fix_fltb_trials(monkeypatch, w):
+    """Make ``fltb_accuracy`` offer each masked item with the first three
+    pool items, the true item at slot 0, 1, 2, 3 in turn; return the trials."""
     distractors = sorted(w.splits.compat_negative_pool)[:3]
     trials = []
 
-    def fixed(ds, pool, pool_by_category, outfit_id, masked_index, rng):
-        true_item = ds.outfits[outfit_id][masked_index]
-        slot = len(trials) % 4
-        candidates = [*distractors[:slot], true_item, *distractors[slot:]]
-        trials.append((outfit_id, masked_index, candidates, slot))
-        return candidates, true_item
+    def fixed(ds, split, graph, outfit_ids, seed, trials_per_outfit=1):
+        for oid in outfit_ids:
+            for _ in range(trials_per_outfit):
+                masked = len(trials) % len(ds.outfits[oid])
+                slot = len(trials) % 4
+                true_item = ds.outfits[oid][masked]
+                candidates = [*distractors[:slot], true_item, *distractors[slot:]]
+                trials.append((oid, masked, candidates, slot))
+        return E.FltbTrials(*(np.array(column) for column in zip(*trials)))
 
-    monkeypatch.setattr(E, "_fltb_candidates", fixed)
+    monkeypatch.setattr(E, "draw_fltb_trials", fixed)
     return trials
 
 
 class TestFltb:
     def test_known_scores_select_max(self, monkeypatch):
         w = SmallWorld(seed=8)
-        trials = fix_fltb_candidates(monkeypatch, w)
+        trials = fix_fltb_trials(monkeypatch, w)
         acc, n = fltb_accuracy(w.ds, w.splits, w.prop, w.model, seed=0,
                                outfit_ids=sorted(w.ds.outfits)[:3], trials_per_outfit=4)
         assert n == len(trials) == 12
@@ -272,18 +275,12 @@ class TestFltb:
     def test_tie_takes_lowest_slot(self, monkeypatch):
         w = SmallWorld(seed=9)
         w.model.params["view_compat_out"].data[:] = 0.0  # every score is zero
-        trials = fix_fltb_candidates(monkeypatch, w)
+        trials = fix_fltb_trials(monkeypatch, w)
         acc, n = fltb_accuracy(w.ds, w.splits, w.prop, w.model, seed=0,
                                outfit_ids=sorted(w.ds.outfits)[:1], trials_per_outfit=8)
         # each trial picks slot 0, which holds the true item in 2 of the 8
         assert n == 8 and [slot for *_, slot in trials].count(0) == 2
         assert acc == 0.25
-
-    def test_bad_masked_index(self):
-        w = SmallWorld(seed=10)
-        oid = sorted(w.ds.outfits)[0]
-        with pytest.raises(ValueError):
-            E._substituted(oid, 99, [0, 1, 2, 3], w.graph)
 
     def test_constant_scorer_quarter_accuracy(self):
         # all-equal scores always pick slot 0; the true item lands in slot 0

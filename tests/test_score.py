@@ -8,13 +8,14 @@ from fashiongraph.embed import ModelDims, init_model
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import forward
 from fashiongraph.score import (
-    _rview_maps,
+    PAD_LOGIT,
     order_candidates,
     outfit_compat_score,
     rec_score,
     rview_scores_tensor,
     score_item_lists,
     score_items,
+    view_maps,
     view_scores,
 )
 from fashiongraph.train import TrainConfig, make_model
@@ -31,10 +32,36 @@ def leaky(x, slope=0.2):
 
 
 def rview_maps(O, m):
-    """``_rview_maps`` of one outfit matrix O (n, d), no padding: (A, C), each (R, n)."""
+    """A and C of one outfit matrix O (n, d), each (R, n): ``view_maps`` of
+    its rows, the logits softmaxed over the outfit's items."""
     with ad.no_grad():
-        A, C = _rview_maps(m, Tensor(O.T[None]), np.zeros((1, 1, len(O))))
-    return A.data[0], C.data[0]
+        L, C = view_maps(m, Tensor(O))
+    z = np.exp(L.data - L.data.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True), C.data
+
+
+def flat(row_lists):
+    """Flat rows and one length per list, the form ``rview_scores_tensor`` takes."""
+    return (np.array([r for rows in row_lists for r in rows], dtype=np.int64),
+            np.array([len(rows) for rows in row_lists], dtype=np.int64))
+
+
+def batched_reference(m, h_items, row_lists):
+    """The R-view scores as the padded (B, d, n) formulation computed them:
+    each list's items gathered, transposed, and both maps applied per list."""
+    slope = m.dims.leaky_slope
+    P = {k: p.data for k, p in m.params.items()}
+    rows, lengths = flat(row_lists)
+    present = np.arange(lengths.max()) < lengths[:, None]
+    idx = np.zeros(present.shape, dtype=np.int64)
+    idx[present] = rows
+    O_T = h_items[idx].transpose(0, 2, 1)  # (B, d, n)
+    logits = P["view_attn_out"] @ leaky(P["view_attn_in"] @ O_T, slope)
+    logits = logits + np.where(present, 0.0, PAD_LOGIT)[:, None, :]
+    z = np.exp(logits - logits.max(axis=2, keepdims=True))
+    A = z / z.sum(axis=2, keepdims=True)
+    C = np.tanh(P["view_compat_out"] @ leaky(P["view_compat_in"] @ O_T, slope))
+    return (A * C).sum(axis=(1, 2)) / m.dims.r_views
 
 
 def rview_attention(O, m):
@@ -179,6 +206,13 @@ class TestScoreOutfit:
         scores = score_item_lists(self.outfit_lists(), self.prop, self.m)
         assert len(scores) == len(self.ds.outfits) and np.all(np.abs(scores) < 1.0)
 
+    def test_unknown_item_id_raises_key_error_naming_it(self):
+        items = list(self.graph.outfit_items[1])
+        with pytest.raises(KeyError, match="unknown item id 987654"):
+            score_item_lists([items, [*items[:1], 987654]], self.prop, self.m)
+        with pytest.raises(KeyError, match="unknown item id -3"):
+            score_items([-3, *items], self.prop, self.m)
+
     def test_rview_result_consistent(self):
         rows = [self.graph.item_index[i] for i in self.graph.outfit_items[2]]
         A, C = rview_maps(self.prop.h_item_star[rows], self.m)
@@ -186,29 +220,25 @@ class TestScoreOutfit:
         assert outfit_compat_score(A, C) == pytest.approx(score, abs=1e-12)
 
     def test_batched_tensor_path_matches_single(self):
-        rows = [
-            np.array([self.graph.item_index[i] for i in self.graph.outfit_items[o]])
-            for o in (0, 1, 2)
-        ]
+        rows = [[self.graph.item_index[i] for i in self.graph.outfit_items[o]]
+                for o in (0, 1, 2)]
         h = Tensor(self.prop.h_item_star)
-        scores = rview_scores_tensor(self.m, h, rows).data
+        scores = rview_scores_tensor(self.m, h, *flat(rows)).data
         for k in range(3):
-            single = rview_scores_tensor(self.m, h, rows[k : k + 1]).data[0]
+            single = rview_scores_tensor(self.m, h, *flat(rows[k : k + 1])).data[0]
             np.testing.assert_allclose(scores[k], single, atol=1e-12)
 
     def test_view_parameter_gradients_match_finite_differences(self):
-        rows = [
-            np.array([self.graph.item_index[i] for i in self.graph.outfit_items[o]])
-            for o in (0, 3)
-        ]
+        rows, lengths = flat([[self.graph.item_index[i] for i in self.graph.outfit_items[o]]
+                              for o in (0, 3)])
         h = Tensor(self.prop.h_item_star)
 
         def value():
             with ad.no_grad():
-                return float(ad.sum_(rview_scores_tensor(self.m, h, rows)).item())
+                return float(ad.sum_(rview_scores_tensor(self.m, h, rows, lengths)).item())
 
         self.m.zero_grads()
-        ad.sum_(rview_scores_tensor(self.m, h, rows)).backward()
+        ad.sum_(rview_scores_tensor(self.m, h, rows, lengths)).backward()
         step = 1e-5
         for name in ("view_attn_in", "view_attn_out", "view_compat_in", "view_compat_out"):
             p = self.m.params[name]
@@ -224,6 +254,54 @@ class TestScoreOutfit:
                 numeric = (plus - minus) / (2 * step)
                 rel = abs(g[idx] - numeric) / max(1.0, abs(g[idx]), abs(numeric))
                 assert rel < 1e-4, (name, idx)
+
+
+class TestPerItemKernel:
+    # Mixed lengths, one-item lists, and an item repeated within a list and
+    # across lists, in float64.
+    ROW_LISTS = [[3, 1, 4], [5], [0, 2, 6, 7, 8], [1, 1], [9, 3], [4]]
+
+    def setup_method(self):
+        self.m = init_model(2, 2, 2, DIMS, seed=21)
+        self.h = np.random.default_rng(22).normal(size=(10, DIMS.d))
+
+    def test_equals_the_padded_batch_formulation(self):
+        with ad.no_grad():
+            got = rview_scores_tensor(self.m, Tensor(self.h), *flat(self.ROW_LISTS)).data
+        expected = batched_reference(self.m, self.h, self.ROW_LISTS)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        for k, rows in enumerate(self.ROW_LISTS):
+            alone = batched_reference(self.m, self.h, [rows])[0]
+            assert got[k] == pytest.approx(alone, abs=1e-12)
+
+    def test_one_item_list_scores_its_mean_fit(self):
+        with ad.no_grad():
+            got = rview_scores_tensor(self.m, Tensor(self.h), *flat([[5], [0, 5]])).data
+        _, C = rview_maps(self.h[[5]], self.m)
+        assert got[0] == pytest.approx(C.mean(), abs=1e-12)
+
+    def test_padding_carries_no_weight_and_no_gradient(self):
+        # Row 0 stands in for every padded slot; a batch that never names
+        # it leaves its gradient exactly zero, whatever the padding.
+        h = Tensor(self.h.copy(), requires_grad=True)
+        ad.sum_(rview_scores_tensor(self.m, h, *flat([[3, 1, 4, 2], [5], [7, 8]]))).backward()
+        assert np.all(h.grad[0] == 0.0) and np.all(h.grad[[9, 6]] == 0.0)
+        assert np.all(np.abs(h.grad[[1, 2, 3, 4, 5, 7, 8]]).sum(axis=1) > 0)
+        # Padding a list out changes neither its score nor its gradient.
+        for rows in ([5], [7, 8]):
+            alone = Tensor(self.h.copy(), requires_grad=True)
+            score = rview_scores_tensor(self.m, alone, *flat([rows]))
+            ad.sum_(score).backward()
+            np.testing.assert_allclose(alone.grad[rows], h.grad[rows], rtol=0, atol=1e-12)
+
+    def test_empty_list_or_mismatched_lengths_raise(self):
+        h = Tensor(self.h)
+        with pytest.raises(ValueError):
+            rview_scores_tensor(self.m, h, np.array([1, 2]), np.array([2, 0]))
+        with pytest.raises(ValueError):
+            rview_scores_tensor(self.m, h, np.array([1, 2]), np.array([1]))
+        with pytest.raises(ValueError):
+            rview_scores_tensor(self.m, h, np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def test_order_candidates_shift_invariance():

@@ -138,23 +138,23 @@ def test_crash_while_checkpointing_resumes_to_the_uninterrupted_bytes(
     path_a, out_a = write_cfg(tmp_path, "a")
     assert cli.main(["train", "--config", str(path_a)]) == 0
 
-    real_save = cli.save_checkpoint
+    real_write = cli.write_arrays
     calls = []
 
-    def dying_save(model, path, extra=None):
+    def dying_write(path, arrays):
         calls.append(path)
         if len(calls) == crash_at_call:  # half a file, then the process dies
             with open(path, "wb") as fh:
                 fh.write(b"FGCKPT")
             raise RuntimeError("disk went away")
-        return real_save(model, path, extra=extra)
+        return real_write(path, arrays)
 
     path_b, out_b = write_cfg(tmp_path, "b")
-    monkeypatch.setattr(cli, "save_checkpoint", dying_save)
+    monkeypatch.setattr(cli, "write_arrays", dying_write)
     assert cli.main(["train", "--config", str(path_b)]) == 2
     assert "disk went away" in capsys.readouterr().err
     assert not list(out_b.glob("*.tmp"))
-    monkeypatch.setattr(cli, "save_checkpoint", real_save)
+    monkeypatch.setattr(cli, "write_arrays", real_write)
     assert cli.main(["train", "--config", str(path_b), "--resume"]) == 0
     for name in ("train_log.csv", "last.ckpt", "best.ckpt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
