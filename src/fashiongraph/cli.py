@@ -307,8 +307,6 @@ def cmd_evaluate(rc: RunConfig, checkpoint: str, out: str | None, per_user: bool
 
 def cmd_recommend(rc: RunConfig, checkpoint: str, user: int, k: int | None) -> int:
     ds, splits, graph, model = load_model(rc, checkpoint)
-    if user not in graph.user_index:
-        raise KeyError(f"unknown user id {user}")
     prop = forward(graph, ds, model, mode="eval")
     top_k = k if k is not None else rc.k
     _, ranked, scores = next(ranked_outfits([user], prop, graph, splits, k=top_k))

@@ -214,7 +214,7 @@ def load_dataset(
             raise DatasetError(f"{items}:{lineno}: duplicate item id {iid}")
         item_category_name[iid] = cat
     categories = sorted(set(item_category_name.values()))
-    cat_index = {name: i for i, name in enumerate(categories)}
+    category_of = {name: c for c, name in enumerate(categories)}
 
     vis = read_features(visual)
     txt = read_features(textual)
@@ -224,7 +224,7 @@ def load_dataset(
             raise DatasetError(f"item {iid}: missing visual features in {visual}")
         if iid not in txt:
             raise DatasetError(f"item {iid}: missing textual features in {textual}")
-        item_map[iid] = Item(cat_index[cat], vis[iid], txt[iid])
+        item_map[iid] = Item(category_of[cat], vis[iid], txt[iid])
 
     outfit_map: dict[int, list[int]] = {}
     for lineno, (oid_s, items_s) in _read_tsv(outfits, 2):
@@ -483,11 +483,11 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
 
 
 def category_pools(ds: Dataset, item_ids) -> dict[int, np.ndarray]:
-    """The ``item_ids`` of each category, ascending, as int64 arrays."""
+    """The ``item_ids`` of each category, ascending, as uint64 arrays."""
     pools: dict[int, list[int]] = {}
     for iid in sorted(item_ids):
         pools.setdefault(ds.items[iid].category, []).append(iid)
-    return {cat: np.array(ids, dtype=np.int64) for cat, ids in pools.items()}
+    return {cat: np.array(ids, dtype=np.uint64) for cat, ids in pools.items()}
 
 
 def feature_matrices(ds: Dataset, item_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ from .embed import ModelState
 from .graph import FashionGraph
 from .propagate import PropagationOutput, forward
 from .rng import substream
-from .score import item_rows, list_rows, outfit_rows, score_rows
+from .score import list_rows, outfit_rows, score_rows
 from .score import score_items  # noqa: F401 (perfbench reads E.score_items)
 from .train import category_template_negative
 
@@ -121,17 +122,22 @@ def ranked_outfits(
     h_user_star @ h_outfit_star.T; the order is a stable sort over ascending
     ids, so ties go to the lower id, as ``order_candidates`` does.
     """
-    outfit_ids = graph.outfit_ids.astype(np.int64)
+    outfit_ids = graph.outfit_ids
     parts = (split.train, split.val) if exclude_val else (split.train,)
+    rows = np.sort(graph.rows("user", users))
+    user_ids = graph.user_ids[rows].tolist()
+    # Each user's train (and val) outfits as rows, from one lookup.
+    seen = [[o for part in parts for o in part.get(u, ())] for u in user_ids]
+    seen_rows = np.split(graph.rows("outfit", list(chain.from_iterable(seen))),
+                         np.cumsum([len(s) for s in seen])[:-1])
     block_start, block = -1, None
-    for row in sorted(graph.user_index[u] for u in users):
+    for row, user, excluded in zip(rows.tolist(), user_ids, seen_rows):
         start = row - row % RANK_BLOCK
         if start != block_start:
             block_start = start
             block = prop.h_user_star[start : start + RANK_BLOCK] @ prop.h_outfit_star.T
-        user = int(graph.user_ids[row])
         keep = np.ones(len(outfit_ids), dtype=bool)
-        keep[[graph.outfit_index[o] for part in parts for o in part.get(user, ())]] = False
+        keep[excluded] = False
         candidates = np.flatnonzero(keep)
         scores = block[row - start, candidates]
         order = _best_first(scores, k)
@@ -142,9 +148,7 @@ def rank_outfits(
     user: int, prop: PropagationOutput, graph: FashionGraph, split: Splits
 ) -> list[int]:
     """All outfits outside the user's train/val sets, best score first;
-    ties broken by ascending outfit id."""
-    if user not in graph.user_index:
-        raise KeyError(f"unknown user {user}")
+    ties broken by ascending outfit id.  An unknown user raises ``KeyError``."""
     _, ranked, _ = next(ranked_outfits([user], prop, graph, split))
     return ranked.tolist()
 
@@ -185,21 +189,21 @@ def draw_fltb_trials(
     """
     if trials_per_outfit < 0:
         raise ValueError(f"trials per outfit must be >= 0, got {trials_per_outfit}")
-    outfits = np.repeat(np.asarray(outfit_ids, dtype=np.int64), trials_per_outfit)
+    outfits = np.repeat(np.asarray(outfit_ids, dtype=np.uint64), trials_per_outfit)
     rows, lengths = outfit_rows(graph, outfits)
     rng = substream(seed, "fltb")
     masked = rng.integers(lengths)
-    true_items = graph.item_ids[rows[np.cumsum(lengths) - lengths + masked]].astype(np.int64)
+    true_items = graph.item_ids[rows[np.cumsum(lengths) - lengths + masked]]
     categories = np.array([ds.items[i].category for i in true_items.tolist()], dtype=np.int64)
 
     # The pool sorted by (category, id): category c's items are one run.
-    pool = np.array(sorted(split.compat_negative_pool), dtype=np.int64)
+    pool = np.array(sorted(split.compat_negative_pool), dtype=np.uint64)
     pool_categories = np.array([ds.items[i].category for i in pool.tolist()], dtype=np.int64)
     by_category = pool[np.argsort(pool_categories, kind="stable")]
     sizes = np.bincount(pool_categories, minlength=len(ds.categories))
     starts = np.cumsum(sizes) - sizes
 
-    candidates = np.empty((len(outfits), 4), dtype=np.int64)
+    candidates = np.empty((len(outfits), 4), dtype=np.uint64)
     candidates[:, 0] = true_items
     bulk = sizes[categories] >= 3
     n = sizes[categories[bulk]]
@@ -250,7 +254,7 @@ def fltb_accuracy(
     # Each trial's outfit four times over, a candidate in its masked position.
     rows, lengths = outfit_rows(prop.graph, np.repeat(trials.outfits, 4))
     masked = np.cumsum(lengths) - lengths + np.repeat(trials.masked, 4)
-    rows[masked] = item_rows(prop.graph, trials.candidates.ravel())
+    rows[masked] = prop.graph.rows("item", trials.candidates.ravel())
     # argmax takes the first maximum per row, so ties go to the lowest slot.
     chosen = score_rows(rows, lengths, prop, m).reshape(n_trials, 4).argmax(axis=1)
     return int(np.count_nonzero(chosen == trials.true_slot)) / n_trials, n_trials

@@ -9,11 +9,17 @@ with two or more items of one category also counts for the same-category
 pair) and o(c_j) counts outfits containing c_j at all.  Rows normalize to
 one; the weight is directional because the denominator depends on the
 first category.
+
+Ids are unsigned 64-bit throughout, as the files store them.  The graph
+alone maps an id to its row in the user, outfit and item tables:
+``FashionGraph.rows`` finds it in the sorted id array of its kind, and
+every level's edges hold rows, never ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -26,7 +32,6 @@ from .dataio import Dataset, Splits, validate_dataset
 class CategoryGraph:
     weights: dict[tuple[int, int], float]  # (c_i, c_j) -> w(c_i, c_j)
     co_counts: dict[tuple[int, int], int]  # (c_i, c_j) -> outfits containing both
-    cat_counts: dict[int, int]  # c_j -> outfits containing c_j
 
     def weight(self, c_i: int, c_j: int) -> float:
         return self.weights.get((c_i, c_j), 0.0)
@@ -74,39 +79,58 @@ class LevelEdges:
 
 @dataclass(frozen=True, eq=False)
 class FashionGraph:
-    user_ids: np.ndarray  # sorted
+    # Sorted uint64 ids: row k of every user table is user k's, and so on.
+    user_ids: np.ndarray
     outfit_ids: np.ndarray
     item_ids: np.ndarray
-    user_index: dict[int, int]
-    outfit_index: dict[int, int]
-    item_index: dict[int, int]
-    user_outfits: dict[int, list[int]]  # user id -> sorted outfit ids (train edges)
-    outfit_users: dict[int, list[int]]
-    outfit_items: dict[int, list[int]]  # outfit id -> item ids in outfit order
-    item_outfits: dict[int, list[int]]
     category_graph: CategoryGraph
-    # "item_item", "item_outfit", "outfit_user" -> that level's edges
+    # "item_item", "item_outfit", "outfit_user" -> that level's edges, as rows
     levels: dict[str, LevelEdges] = field(repr=False)
+
+    def rows(self, kind: str, ids) -> np.ndarray:
+        """The int64 rows of ``ids`` (Python ints or an integer array) in
+        the ``kind`` ("user", "outfit" or "item") tables: their positions in
+        the sorted id array.  Raises ``KeyError`` naming an id that the
+        table does not hold, a negative one included."""
+        keys = getattr(self, f"{kind}_ids")
+        given, ids = ids, np.asarray(ids)
+        if ids.dtype.kind not in "iu":  # NumPy makes ints from 2^63 up beside smaller ones float64
+            try:  # so convert them int by int
+                ids = np.array(given, dtype=np.uint64)
+            except OverflowError:  # an id below 0 or from 2^64 up
+                bad = next(i for i in np.ravel(np.array(given, dtype=object)) if not 0 <= i < 2**64)
+                raise KeyError(f"unknown {kind} id {bad}") from None
+        # NumPy compares uint64 with int64 as float64, where 2^60 + 1 == 2^60,
+        # so the keys take the table's dtype; a negative id wraps, and is unknown.
+        wanted = ids.astype(keys.dtype)
+        found = np.searchsorted(keys, wanted)
+        known = (found < len(keys)) & (ids >= 0)
+        known[known] = keys[found[known]] == wanted[known]
+        if not known.all():
+            raise KeyError(f"unknown {kind} id {ids[~known][0]}")
+        return found
+
+    # id -> row dicts, built on first use; acceptance criterion 4 and the
+    # benchmark's own checks read them.
+    @cached_property
+    def user_index(self) -> dict[int, int]:
+        return dict(zip(self.user_ids.tolist(), range(self.n_users)))
+
+    @cached_property
+    def item_index(self) -> dict[int, int]:
+        return dict(zip(self.item_ids.tolist(), range(self.n_items)))
 
     @property
     def item_edges(self) -> LevelEdges:  # item-item edges with their prior
         return self.levels["item_item"]
 
     @property
-    def uo_tgt(self) -> np.ndarray:  # user index per user-outfit edge
+    def uo_tgt(self) -> np.ndarray:  # user row per user-outfit edge
         return self.levels["outfit_user"].tgt
 
     @property
-    def uo_src(self) -> np.ndarray:  # outfit index per user-outfit edge
-        return self.levels["outfit_user"].src
-
-    @property
-    def oi_tgt(self) -> np.ndarray:  # outfit index per outfit-item edge
+    def oi_tgt(self) -> np.ndarray:  # outfit row per outfit-item edge
         return self.levels["item_outfit"].tgt
-
-    @property
-    def oi_src(self) -> np.ndarray:  # item index per outfit-item edge
-        return self.levels["item_outfit"].src
 
     @property
     def n_users(self) -> int:
@@ -147,30 +171,27 @@ def category_cooccurrence_weights(ds: Dataset) -> CategoryGraph:
     for (c_i, c_j), n in co.items():
         totals[c_i] = totals.get(c_i, 0.0) + n / cat_counts[c_j]
     weights = {(c_i, c_j): n / cat_counts[c_j] / totals[c_i] for (c_i, c_j), n in co.items()}
-    return CategoryGraph(weights=weights, co_counts=co, cat_counts=cat_counts)
+    return CategoryGraph(weights=weights, co_counts=co)
 
 
-def build_item_item_edges(
-    ds: Dataset, cg: CategoryGraph, item_index: dict[int, int]
-) -> LevelEdges:
+def build_item_item_edges(ds: Dataset, cg: CategoryGraph, item_ids: np.ndarray) -> LevelEdges:
     """The item-item level: directed co-outfit neighborhoods whose prior is
-    the category weight w(cat(target), cat(source)).
+    the category weight w(cat(target), cat(source)); ``item_ids`` is the
+    graph's sorted uint64 item id array.
 
     An item's neighborhood is the union of its co-outfit items across every
     outfit containing it; a pair co-occurring in several outfits yields one
     edge.  Edges are sorted by (target, source) so summation order is fixed.
     """
-    pairs = {
-        (item_index[i], item_index[j])
-        for members in ds.outfits.values()
-        for i, j in permutations(members, 2)
-    }
-    tgt, src = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T.copy()
+    pairs = {(i, j) for members in ds.outfits.values() for i, j in permutations(members, 2)}
+    # Rows keep id order, so pairs sorted by id are sorted by row.
+    by_id = np.array(sorted(pairs), dtype=np.uint64).reshape(-1, 2)
+    tgt, src = np.searchsorted(item_ids, by_id.T)
     table = np.zeros((len(ds.categories), len(ds.categories)))
     for pair, w in cg.weights.items():
         table[pair] = w
-    cats = np.array([ds.items[i].category for i in item_index], dtype=np.int64)
-    return LevelEdges(tgt, src, len(item_index), prior=table[cats[tgt], cats[src]])
+    cats = np.array([ds.items[i].category for i in item_ids.tolist()], dtype=np.int64)
+    return LevelEdges(tgt, src, len(item_ids), prior=table[cats[tgt], cats[src]])
 
 
 def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGraph:
@@ -183,49 +204,24 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
     user_ids = np.array(sorted(ds.users), dtype=np.uint64)
     outfit_ids = np.array(sorted(ds.outfits), dtype=np.uint64)
     item_ids = np.array(sorted(ds.items), dtype=np.uint64)
-    user_index = {int(u): i for i, u in enumerate(user_ids)}
-    outfit_index = {int(o): i for i, o in enumerate(outfit_ids)}
-    item_index = {int(i): k for k, i in enumerate(item_ids)}
 
+    # (target, source) id pairs, sorted by target id; rows keep id order,
+    # so every level comes out target-sorted.
     edge_pairs = sorted(ds.interactions) if splits is None else splits.pairs("train")
-    user_outfits: dict[int, list[int]] = {int(u): [] for u in user_ids}
-    outfit_users: dict[int, list[int]] = {int(o): [] for o in outfit_ids}
-    for u, o in edge_pairs:
-        user_outfits[u].append(o)
-        outfit_users[o].append(u)
-
-    outfit_items = {int(o): list(ds.outfits[int(o)]) for o in outfit_ids}
-    item_outfits: dict[int, list[int]] = {int(i): [] for i in item_ids}
-    for o in sorted(ds.outfits):
-        for i in ds.outfits[o]:
-            item_outfits[i].append(o)
-
-    # Every level comes out target-sorted: edge_pairs and the outfits are
-    # sorted by id, and the index maps preserve id order.
-    uo_tgt = np.array([user_index[u] for u, _ in edge_pairs], dtype=np.int64)
-    uo_src = np.array([outfit_index[o] for _, o in edge_pairs], dtype=np.int64)
-    oi_pairs = [(o, i) for o in sorted(ds.outfits) for i in ds.outfits[o]]
-    oi_tgt = np.array([outfit_index[o] for o, _ in oi_pairs], dtype=np.int64)
-    oi_src = np.array([item_index[i] for _, i in oi_pairs], dtype=np.int64)
-
+    uo = np.array(edge_pairs, dtype=np.uint64).reshape(-1, 2)
+    oi = np.array([(o, i) for o in sorted(ds.outfits) for i in ds.outfits[o]], dtype=np.uint64)
     cg = category_cooccurrence_weights(ds)
     levels = {
-        "item_item": build_item_item_edges(ds, cg, item_index),
-        "item_outfit": LevelEdges(oi_tgt, oi_src, len(outfit_ids)),
-        "outfit_user": LevelEdges(uo_tgt, uo_src, len(user_ids)),
+        "item_item": build_item_item_edges(ds, cg, item_ids),
+        "item_outfit": LevelEdges(np.searchsorted(outfit_ids, oi[:, 0]),
+                                  np.searchsorted(item_ids, oi[:, 1]), len(outfit_ids)),
+        "outfit_user": LevelEdges(np.searchsorted(user_ids, uo[:, 0]),
+                                  np.searchsorted(outfit_ids, uo[:, 1]), len(user_ids)),
     }
-
     return FashionGraph(
         user_ids=user_ids,
         outfit_ids=outfit_ids,
         item_ids=item_ids,
-        user_index=user_index,
-        outfit_index=outfit_index,
-        item_index=item_index,
-        user_outfits=user_outfits,
-        outfit_users=outfit_users,
-        outfit_items=outfit_items,
-        item_outfits=item_outfits,
         category_graph=cg,
         levels=levels,
     )

@@ -166,8 +166,8 @@ def forward_tensors(
     if training and (p_embed > 0 or p_attn > 0) and rng is None:
         raise ValueError("training mode with dropout needs an RNG")
 
-    X_v, X_t, cats = ds.item_features  # rows in graph.item_ids order
-    h_item = fuse_items_tensor(m, X_v, X_t, cats)
+    X_v, X_t, _ = ds.item_features  # rows in graph.item_ids order
+    h_item = fuse_items_tensor(m, X_v, X_t)
     h_outfit = m.params["outfit_table"]
     h_user = m.params["user_table"]
     if training and p_embed > 0:

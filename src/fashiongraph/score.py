@@ -56,36 +56,17 @@ def outfit_compat_score(A: np.ndarray, C: np.ndarray) -> float:
     return float(view_scores(A, C).mean())
 
 
-def _lookup(keys: np.ndarray, ids, what: str) -> np.ndarray:
-    """Positions of ``ids`` in the sorted id array ``keys``; raises
-    ``KeyError`` naming the first id that ``keys`` does not hold."""
-    ids = np.asarray(ids, dtype=np.int64)
-    wanted = ids.astype(keys.dtype)  # a negative id wraps, and is unknown
-    found = np.searchsorted(keys, wanted)
-    known = (found < len(keys)) & (ids >= 0)
-    known[known] = keys[found[known]] == wanted[known]
-    if not known.all():
-        raise KeyError(f"unknown {what} id {ids[~known][0]}")
-    return found
-
-
-def item_rows(graph: FashionGraph, item_ids) -> np.ndarray:
-    """The row of each of ``item_ids`` in the graph's item tables."""
-    return _lookup(graph.item_ids, item_ids, "item")
-
-
 def list_rows(graph: FashionGraph, item_lists) -> tuple[np.ndarray, np.ndarray]:
     """Item rows of lists of item ids, as flat rows and one length per list."""
     lengths = np.fromiter(map(len, item_lists), dtype=np.int64, count=len(item_lists))
-    ids = np.fromiter(chain.from_iterable(item_lists), dtype=np.int64, count=lengths.sum())
-    return item_rows(graph, ids), lengths
+    return graph.rows("item", list(chain.from_iterable(item_lists))), lengths
 
 
 def outfit_rows(graph: FashionGraph, outfit_ids) -> tuple[np.ndarray, np.ndarray]:
     """Item rows of stored outfits, in outfit order, as flat rows and one
     length per outfit: runs of the item-outfit level's target-sorted edges."""
     level = graph.levels["item_outfit"]
-    outfits = _lookup(graph.outfit_ids, outfit_ids, "outfit")
+    outfits = graph.rows("outfit", outfit_ids)
     first = np.searchsorted(level.tgt, outfits)
     lengths = np.searchsorted(level.tgt, outfits, side="right") - first
     shift = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)

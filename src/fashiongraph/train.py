@@ -71,7 +71,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TripleBatch:
-    """Recommendation triples (u, o+, o-) and compatibility pairs (o+, items-)."""
+    """Recommendation triples (u, o+, o-) and compatibility pairs (o+, items-),
+    by id: the arrays hold uint64 ids, the item lists Python ints."""
 
     rec_users: np.ndarray
     rec_pos: np.ndarray
@@ -170,7 +171,7 @@ def category_template_negative(
 def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> TripleBatch:
     """Draw one negative per training positive; deterministic per (seed, epoch)."""
     rng = substream(seed, "sampling", epoch)
-    all_outfits = np.array(sorted(ds.outfits), dtype=np.int64)
+    all_outfits = np.array(sorted(ds.outfits), dtype=np.uint64)
 
     # With q the positions of a user's known outfits, known outfit i has
     # q[i] - i unknown ones before it, so the k-th unknown outfit (from 0)
@@ -186,7 +187,8 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
     for u, o in split.pairs("train"):
         b = block_of.get(u)
         if b is None:
-            q = np.searchsorted(all_outfits, sorted(split.user_known(u)))
+            known = np.array(sorted(split.user_known(u)), dtype=np.uint64)
+            q = np.searchsorted(all_outfits, known)
             b = block_of[u] = len(blocks)
             blocks.append(q - np.arange(len(q)) + b * stride)
         n_unk = n_outfits - len(blocks[b])
@@ -197,7 +199,7 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
         rec_pos.append(o)
         rec_block.append(b)
         n_unknown.append(n_unk)
-    rec_neg = np.zeros(0, dtype=np.int64)
+    rec_neg = np.zeros(0, dtype=np.uint64)
     if rec_users:
         k = rng.integers(np.array(n_unknown))
         block = np.array(rec_block)
@@ -215,10 +217,10 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
         comp_neg.append(negative)
 
     return TripleBatch(
-        rec_users=np.array(rec_users, dtype=np.int64),
-        rec_pos=np.array(rec_pos, dtype=np.int64),
+        rec_users=np.array(rec_users, dtype=np.uint64),
+        rec_pos=np.array(rec_pos, dtype=np.uint64),
         rec_neg=rec_neg,
-        comp_pos=np.array(comp_pos, dtype=np.int64),
+        comp_pos=np.array(comp_pos, dtype=np.uint64),
         comp_neg=tuple(comp_neg),
     )
 
@@ -256,9 +258,9 @@ def batch_loss(
         return term.item()
 
     if batch.n_rec:
-        u_idx = np.array([graph.user_index[u] for u in batch.rec_users])
-        p_idx = np.array([graph.outfit_index[o] for o in batch.rec_pos])
-        n_idx = np.array([graph.outfit_index[o] for o in batch.rec_neg])
+        u_idx = graph.rows("user", batch.rec_users)
+        p_idx = graph.rows("outfit", batch.rec_pos)
+        n_idx = graph.rows("outfit", batch.rec_neg)
         h_u = ad.gather(ft.h_user_star, u_idx, axis=0)
         y_pos = ad.sum_(h_u * ad.gather(ft.h_outfit_star, p_idx, axis=0), axis=1)
         y_neg = ad.sum_(h_u * ad.gather(ft.h_outfit_star, n_idx, axis=0), axis=1)

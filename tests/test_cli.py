@@ -5,6 +5,7 @@ import pytest
 
 from fashiongraph.cli import main, make_run_config, parse_config_file
 from fashiongraph.dataio import (
+    Dataset,
     SyntheticConfig,
     generate_synthetic,
     read_features,
@@ -310,3 +311,61 @@ class TestBadFilesExitOne:
         assert "non-finite" in err, err
         assert sorted(p.name for p in out.iterdir()) == ["train_log.csv"]
         assert (out / "train_log.csv").read_text() == ""
+
+
+SHIFT = 2**63 + 1000  # ids from 2^63 up do not fit an int64
+
+
+def shifted(ds: Dataset, users: int = 0, outfits: int = 0, items: int = 0) -> Dataset:
+    """``ds`` with every user, outfit and item id raised by the given amount."""
+    return Dataset(
+        users=[u + users for u in ds.users],
+        outfits={o + outfits: [i + items for i in m] for o, m in ds.outfits.items()},
+        items={i + items: item for i, item in ds.items.items()},
+        interactions=frozenset((u + users, o + outfits) for u, o in ds.interactions),
+        categories=ds.categories,
+    )
+
+
+class TestIdsFromTwoToTheSixtyThree:
+    """Ids stay unsigned 64-bit from the files to the output: the default
+    synthetic data with its ids raised past 2^63 trains, evaluates and
+    recommends like the data it came from."""
+
+    def _run(self, tmp_path, name, ds, user):
+        paths = write_dataset(ds, tmp_path / name / "data")
+        out = tmp_path / name / "out"
+        cfg = tmp_path / name / "run.cfg"
+        cfg.write_text(
+            f"seed=7\nmode=files\nout_dir={out}\nepochs=2\n"
+            f"interactions={paths['interactions']}\noutfits={paths['outfits']}\n"
+            f"items={paths['items']}\nvisual_features={paths['visual']}\n"
+            f"textual_features={paths['textual']}\n"
+        )
+        common = ["--config", str(cfg), "--checkpoint", str(out / "best.ckpt")]
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert main(["evaluate", *common, "--per-user", "--out", str(out / "report.txt")]) == 0
+        return out, main(["recommend", *common, "--user", str(user), "--k", "5"])
+
+    def test_shifted_item_and_outfit_ids_give_the_same_bytes(self, tmp_path, capsys):
+        ds = generate_synthetic(SyntheticConfig(), seed=7)
+        user = ds.users[3]
+        plain, code = self._run(tmp_path, "plain", ds, user)
+        assert code == 0
+        plain_top = capsys.readouterr().out.strip().splitlines()[-5:]
+        high, code = self._run(tmp_path, "high", shifted(ds, outfits=SHIFT, items=SHIFT), user)
+        assert code == 0
+        high_top = capsys.readouterr().out.strip().splitlines()[-5:]
+        for name in ("best.ckpt", "last.ckpt", "train_log.csv", "report.txt"):
+            assert (high / name).read_bytes() == (plain / name).read_bytes(), name
+        for a, b in zip(plain_top, high_top, strict=True):
+            rank_a, oid_a, score_a = a.split("\t")
+            rank_b, oid_b, score_b = b.split("\t")
+            assert (rank_b, int(oid_b), score_b) == (rank_a, int(oid_a) + SHIFT, score_a)
+
+    def test_shifted_user_ids_train_and_recommend(self, tmp_path, capsys):
+        ds = shifted(generate_synthetic(SyntheticConfig(), seed=7), users=SHIFT)
+        _, code = self._run(tmp_path, "users", ds, ds.users[3])
+        assert code == 0
+        top = capsys.readouterr().out.strip().splitlines()[-5:]
+        assert [line.split("\t")[0] for line in top] == ["1", "2", "3", "4", "5"]

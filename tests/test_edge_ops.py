@@ -203,7 +203,7 @@ def test_level_edges_reject_a_prior_of_the_wrong_length():
 def test_graph_levels_hold_the_graph_edges(tiny_ds):
     graph = build_fashion_graph(tiny_ds)
     assert graph.levels["item_outfit"].tgt is graph.oi_tgt
-    assert graph.levels["outfit_user"].src is graph.uo_src
+    assert graph.levels["outfit_user"].tgt is graph.uo_tgt
     assert graph.item_edges is graph.levels["item_item"]
     assert graph.levels["item_item"].n_tgt == graph.n_items
 

@@ -42,9 +42,9 @@ def reference_ranking(user, prop, graph, split, exclude_val=True):
         excluded |= set(split.val.get(user, ()))
     h_u = prop.h_user_star[graph.user_index[user]]
     scores = {
-        int(o): rec_score(h_u, prop.h_outfit_star[graph.outfit_index[int(o)]])
-        for o in graph.outfit_ids
-        if int(o) not in excluded
+        o: rec_score(h_u, prop.h_outfit_star[row])
+        for row, o in enumerate(graph.outfit_ids.tolist())
+        if o not in excluded
     }
     return order_candidates(scores.keys(), scores)
 
@@ -57,11 +57,17 @@ def test_package_attribute_is_the_evaluate_module():
 
 def test_names_the_benchmark_reads_outside_its_tracer_targets_exist(tiny_ds):
     # perfbench reads these by name: its tests call E.score_items and
-    # E.rank_outfits, its tracer counts graph.item_edges.tgt, and bench.py
-    # passes ModelDims.linear_compat to its own R-view check.
+    # E.rank_outfits, its tracer counts graph.item_edges.tgt, graph.uo_tgt
+    # and graph.oi_tgt, bench.py passes ModelDims.linear_compat to its own
+    # R-view check, and its checks map ids to rows through graph.user_index
+    # and graph.item_index.
     assert callable(E.score_items) and callable(E.rank_outfits)
     graph = build_fashion_graph(tiny_ds)
     assert len(graph.item_edges.tgt) == len(graph.levels["item_item"].src) > 0
+    assert graph.uo_tgt is graph.levels["outfit_user"].tgt
+    assert graph.oi_tgt is graph.levels["item_outfit"].tgt
+    assert graph.user_index == {u: graph.rows("user", [u])[0] for u in tiny_ds.users}
+    assert graph.item_index == {i: graph.rows("item", [i])[0] for i in tiny_ds.items}
     assert ModelDims().linear_compat is False
 
 
@@ -184,7 +190,7 @@ def auc_lists(ds, prop, seed):
     """Positives and the category-template negatives ``compat_auc`` draws."""
     pools = category_pools(ds, ds.items)
     outfit_sets = {frozenset(v) for v in ds.outfits.values()}
-    pos = [prop.graph.outfit_items[o] for o in sorted(ds.outfits)]
+    pos = [ds.outfits[o] for o in sorted(ds.outfits)]
     rng = substream(seed, "auc")
     neg = [category_template_negative(ds, o, pools, outfit_sets, rng) for o in sorted(ds.outfits)]
     return pos, [n for n in neg if n is not None]
@@ -276,7 +282,7 @@ def test_template_negatives_pass_through_the_module_global(monkeypatch):
     got = E.compat_auc(ds, prop, m, seed=11)
     assert seen == sorted(ds.outfits)
     assert negatives
-    pos = score_item_lists([graph.outfit_items[o] for o in sorted(ds.outfits)], prop, m)
+    pos = score_item_lists([ds.outfits[o] for o in sorted(ds.outfits)], prop, m)
     assert got == E.auc(pos, score_item_lists(negatives, prop, m))
 
 def test_item_features_stacked_once(monkeypatch):

@@ -142,8 +142,7 @@ class TestRankOutfits:
         u = w.ds.users[1]
         ranked = rank_outfits(u, w.prop, w.graph, w.splits)
         h_u = w.prop.h_user_star[w.graph.user_index[u]]
-        scores = [float(h_u @ w.prop.h_outfit_star[w.graph.outfit_index[o]])
-                  for o in ranked]
+        scores = [float(h_u @ o) for o in w.prop.h_outfit_star[w.graph.rows("outfit", ranked)]]
         for (s1, o1), (s2, o2) in zip(zip(scores, ranked), zip(scores[1:], ranked[1:])):
             assert s1 > s2 or (s1 == s2 and o1 < o2)
 
@@ -161,7 +160,7 @@ def make_oracle_prop(graph, splits):
     h_user = np.zeros((graph.n_users, d))
     for u, outfits in splits.test.items():
         for o in outfits:
-            h_user[graph.user_index[u], graph.outfit_index[o]] = 1.0
+            h_user[graph.user_index[u], graph.rows("outfit", [o])[0]] = 1.0
     return PropagationOutput(
         h_item_star=np.zeros((graph.n_items, d)),
         h_outfit_star=h_outfit,

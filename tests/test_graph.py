@@ -138,13 +138,16 @@ class TestFashionGraph:
         assert graph.n_edges == 4 + (2 + 3 + 2)
 
     def test_adjacency_symmetric(self, tiny_ds):
-        graph = build_fashion_graph(tiny_ds)
-        for u, outfits in graph.user_outfits.items():
-            for o in outfits:
-                assert u in graph.outfit_users[o]
-        for o, items in graph.outfit_items.items():
-            for i in items:
-                assert o in graph.item_outfits[i]
+        # Every item-outfit edge is a stored membership, every user-outfit
+        # edge a train pair, each once and in id order.
+        splits = split_interactions(tiny_ds, seed=0)
+        graph = build_fashion_graph(tiny_ds, splits)
+        io, uo = graph.levels["item_outfit"], graph.levels["outfit_user"]
+        memberships = [(o, i) for o in sorted(tiny_ds.outfits) for i in tiny_ds.outfits[o]]
+        assert list(zip(graph.outfit_ids[io.tgt].tolist(),
+                        graph.item_ids[io.src].tolist())) == memberships
+        assert list(zip(graph.user_ids[uo.tgt].tolist(),
+                        graph.outfit_ids[uo.src].tolist())) == splits.pairs("train")
 
     def test_training_split_only_edges(self):
         ds = generate_synthetic(SyntheticConfig(), seed=2)
@@ -153,13 +156,90 @@ class TestFashionGraph:
         n_train = sum(len(v) for v in splits.train.values())
         assert len(graph.uo_tgt) == n_train
         held_out = set(splits.test[ds.users[0]]) | set(splits.val[ds.users[0]])
-        assert not held_out & set(graph.user_outfits[ds.users[0]])
+        level = graph.levels["outfit_user"]
+        linked = level.src[level.tgt == graph.rows("user", [ds.users[0]])[0]]
+        assert not held_out & set(graph.outfit_ids[linked].tolist())
 
     def test_counts_match_dataset(self, tiny_ds):
         graph = build_fashion_graph(tiny_ds)
         assert graph.n_users == len(tiny_ds.users)
         assert graph.n_outfits == len(tiny_ds.outfits)
         assert graph.n_items == len(tiny_ds.items)
+
+
+class TestRows:
+    """``FashionGraph.rows``, the one map from ids to table rows."""
+
+    BIG = 2**60  # uint64 ids that float64 cannot tell apart: BIG + 1 == BIG
+
+    def graph(self):
+        ds = tiny_dataset()
+        renamed = {0: self.BIG, 1: self.BIG + 1}
+        return build_fashion_graph(Dataset(
+            users=ds.users,
+            outfits={o: [renamed.get(i, i) for i in m] for o, m in ds.outfits.items()},
+            items={renamed.get(i, i): item for i, item in ds.items.items()},
+            interactions=ds.interactions,
+            categories=ds.categories,
+        ))
+
+    def test_ids_are_uint64_and_rows_int64(self):
+        graph = self.graph()
+        assert graph.user_ids.dtype == graph.outfit_ids.dtype == graph.item_ids.dtype == np.uint64
+        assert graph.rows("item", [2, 3]).dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [987654, -1, 2**64 - 1, 2**64])
+    def test_unknown_id_raises_key_error_naming_it(self, bad):
+        graph = self.graph()
+        with pytest.raises(KeyError, match=f"^'unknown item id {bad}'$"):
+            graph.rows("item", [2, bad])
+        if 0 <= bad < 2**63:
+            with pytest.raises(KeyError, match=f"^'unknown item id {bad}'$"):
+                graph.rows("item", np.array([2, bad], dtype=np.int64))
+        if 0 <= bad < 2**64:
+            with pytest.raises(KeyError, match=f"^'unknown item id {bad}'$"):
+                graph.rows("item", np.array([2, bad], dtype=np.uint64))
+
+    def test_negative_id_is_unknown_where_it_wraps_to_a_stored_id(self):
+        ds = tiny_dataset()
+        top = 2**64 - 1  # what -1 wraps to as uint64
+        graph = build_fashion_graph(Dataset(
+            users=[10, top],
+            outfits=ds.outfits,
+            items=ds.items,
+            interactions=frozenset((top if u == 11 else u, o) for u, o in ds.interactions),
+            categories=ds.categories,
+        ))
+        assert graph.rows("user", [top]).tolist() == [1]
+        with pytest.raises(KeyError, match="^'unknown user id -1'$"):
+            graph.rows("user", np.array([10, -1]))
+        for given in ([10, -1], [np.int64(10), np.int64(-1)], [-1, top]):
+            with pytest.raises(KeyError, match="^'unknown user id -1'$"):
+                graph.rows("user", given)
+
+    def test_python_ints_and_both_array_dtypes_give_the_same_rows(self):
+        graph = self.graph()
+        for kind, ids in (("user", [11, 10]), ("outfit", [102, 100, 101, 100]),
+                          ("item", [4, self.BIG + 1, 2, self.BIG, 3])):
+            want = np.array([np.flatnonzero(getattr(graph, f"{kind}_ids") == i)[0] for i in ids])
+            for given in (ids, np.array(ids, dtype=np.uint64)):
+                np.testing.assert_array_equal(graph.rows(kind, given), want)
+            if max(ids) < 2**63:
+                np.testing.assert_array_equal(graph.rows(kind, np.array(ids, np.int64)), want)
+
+    def test_ids_one_apart_above_two_to_the_sixty_keep_their_own_rows(self):
+        graph = self.graph()
+        assert graph.item_ids[:2].tolist() == [2, 3]  # the BIG ids sort last
+        big = [self.BIG, self.BIG + 1]
+        for given in (big, np.array(big, dtype=np.uint64), np.array(big, dtype=np.int64)):
+            assert graph.rows("item", given).tolist() == [3, 4]
+        assert graph.item_index[self.BIG + 1] == 4
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([], dtype=np.int64),
+                                       np.array([], dtype=np.uint64)])
+    def test_empty_input_gives_empty_int64_rows(self, empty):
+        rows = self.graph().rows("outfit", empty)
+        assert rows.dtype == np.int64 and rows.shape == (0,)
 
 
 def outfit_subgraph(ds: Dataset, outfit_id: int) -> dict[tuple[int, int], float]:
@@ -192,9 +272,9 @@ class TestItemSubgraph:
     def test_weights_are_pure_lookup(self, tiny_ds):
         cg1 = category_cooccurrence_weights(tiny_ds)
         cg2 = category_cooccurrence_weights(tiny_ds)
-        index = {i: k for k, i in enumerate(sorted(tiny_ds.items))}
-        first = build_item_item_edges(tiny_ds, cg1, index)
-        second = build_item_item_edges(tiny_ds, cg2, index)
+        item_ids = np.array(sorted(tiny_ds.items), dtype=np.uint64)
+        first = build_item_item_edges(tiny_ds, cg1, item_ids)
+        second = build_item_item_edges(tiny_ds, cg2, item_ids)
         assert np.array_equal(first.tgt, second.tgt) and np.array_equal(first.src, second.src)
         assert np.array_equal(first.prior, second.prior)
 
@@ -268,7 +348,7 @@ def test_pair_tables_match_nested_loop_reference(tiny_ds):
         assert cg.weights.keys() == weights.keys()
         for pair, w in weights.items():
             assert cg.weights[pair] == pytest.approx(w, rel=1e-12, abs=0.0)
-        item_edges = build_item_item_edges(ds, cg, {i: k for k, i in enumerate(sorted(ds.items))})
+        item_edges = build_item_item_edges(ds, cg, np.array(sorted(ds.items), dtype=np.uint64))
         np.testing.assert_array_equal(item_edges.tgt, [t for t, _, _ in edges])
         np.testing.assert_array_equal(item_edges.src, [s for _, s, _ in edges])
         np.testing.assert_allclose(item_edges.prior, [w for _, _, w in edges], rtol=1e-12)

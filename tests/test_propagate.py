@@ -132,7 +132,7 @@ class TestItemOutfitAndUser:
         out, alpha = propagate_level(m, "item_outfit", h_outfits, h_items,
                                      graph.levels["item_outfit"])
         expected = scratch_level(m, "item_outfit", h_outfits, h_items,
-                                 graph.oi_tgt, graph.oi_src, graph.n_outfits)
+                                 graph.oi_tgt, graph.levels["item_outfit"].src, graph.n_outfits)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_zero_items_give_identity(self, tiny_ds):
@@ -179,7 +179,7 @@ class TestItemOutfitAndUser:
         out, _ = propagate_level(m, "outfit_user", h_users, h_outfits,
                                  graph.levels["outfit_user"])
         expected = scratch_level(m, "outfit_user", h_users, h_outfits,
-                                 graph.uo_tgt, graph.uo_src, graph.n_users)
+                                 graph.uo_tgt, graph.levels["outfit_user"].src, graph.n_users)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 

@@ -189,7 +189,7 @@ class TestScoreOutfit:
         self.prop = forward(self.graph, self.ds, self.m)
 
     def outfit_lists(self):
-        return [self.graph.outfit_items[o] for o in sorted(self.ds.outfits)]
+        return [self.ds.outfits[o] for o in sorted(self.ds.outfits)]
 
     def test_deterministic(self):
         a = score_item_lists(self.outfit_lists(), self.prop, self.m)
@@ -197,7 +197,7 @@ class TestScoreOutfit:
         assert np.array_equal(a, b)
 
     def test_permutation_invariance(self):
-        items = self.graph.outfit_items[0]
+        items = self.ds.outfits[0]
         fwd = score_items(items, self.prop, self.m)
         rev = score_items(list(reversed(items)), self.prop, self.m)
         np.testing.assert_allclose(fwd, rev, atol=1e-12)
@@ -207,20 +207,20 @@ class TestScoreOutfit:
         assert len(scores) == len(self.ds.outfits) and np.all(np.abs(scores) < 1.0)
 
     def test_unknown_item_id_raises_key_error_naming_it(self):
-        items = list(self.graph.outfit_items[1])
+        items = list(self.ds.outfits[1])
         with pytest.raises(KeyError, match="unknown item id 987654"):
             score_item_lists([items, [*items[:1], 987654]], self.prop, self.m)
         with pytest.raises(KeyError, match="unknown item id -3"):
             score_items([-3, *items], self.prop, self.m)
 
     def test_rview_result_consistent(self):
-        rows = [self.graph.item_index[i] for i in self.graph.outfit_items[2]]
+        rows = [self.graph.item_index[i] for i in self.ds.outfits[2]]
         A, C = rview_maps(self.prop.h_item_star[rows], self.m)
-        score = score_items(self.graph.outfit_items[2], self.prop, self.m)
+        score = score_items(self.ds.outfits[2], self.prop, self.m)
         assert outfit_compat_score(A, C) == pytest.approx(score, abs=1e-12)
 
     def test_batched_tensor_path_matches_single(self):
-        rows = [[self.graph.item_index[i] for i in self.graph.outfit_items[o]]
+        rows = [[self.graph.item_index[i] for i in self.ds.outfits[o]]
                 for o in (0, 1, 2)]
         h = Tensor(self.prop.h_item_star)
         scores = rview_scores_tensor(self.m, h, *flat(rows)).data
@@ -229,7 +229,7 @@ class TestScoreOutfit:
             np.testing.assert_allclose(scores[k], single, atol=1e-12)
 
     def test_view_parameter_gradients_match_finite_differences(self):
-        rows, lengths = flat([[self.graph.item_index[i] for i in self.graph.outfit_items[o]]
+        rows, lengths = flat([[self.graph.item_index[i] for i in self.ds.outfits[o]]
                               for o in (0, 3)])
         h = Tensor(self.prop.h_item_star)
 

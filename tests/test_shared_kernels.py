@@ -80,9 +80,9 @@ def test_bpr_rec_loss_is_the_training_loss():
                         np.array([], dtype=np.int64), ())
     _, l_rec, l_comp = batch_loss(m, graph, ds, batch, cfg)
     prop = forward(graph, ds, m)
-    h_u = prop.h_user_star[[graph.user_index[u] for u in batch.rec_users]]
-    y_pos = (h_u * prop.h_outfit_star[[graph.outfit_index[o] for o in batch.rec_pos]]).sum(axis=1)
-    y_neg = (h_u * prop.h_outfit_star[[graph.outfit_index[o] for o in batch.rec_neg]]).sum(axis=1)
+    h_u = prop.h_user_star[graph.rows("user", batch.rec_users)]
+    y_pos = (h_u * prop.h_outfit_star[graph.rows("outfit", batch.rec_pos)]).sum(axis=1)
+    y_neg = (h_u * prop.h_outfit_star[graph.rows("outfit", batch.rec_neg)]).sum(axis=1)
     assert l_comp == 0.0
     assert bpr_rec_loss(y_pos, y_neg).mean() == l_rec
 

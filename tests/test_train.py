@@ -297,8 +297,7 @@ class TestGradientCheck:
         twin_splits = split_interactions(twin, seed=3)
         twin_graph = build_fashion_graph(twin, twin_splits)
         m = make_model(twin_graph, twin, cfg)
-        i_dup = twin_graph.outfit_index[999]
-        i_orig = twin_graph.outfit_index[oids[0]]
+        i_dup, i_orig = twin_graph.rows("outfit", [999, oids[0]])
         m.params["outfit_table"].data[i_dup] = m.params["outfit_table"].data[i_orig]
         u = twin.users[0]
         batch = TripleBatch(
