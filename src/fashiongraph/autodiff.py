@@ -524,11 +524,16 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    # A lookup of 1 or slope by sign: np.where over mixed signs is several
-    # times slower.
-    table = np.array([slope, 1.0], dtype=a.data.dtype)
-    scale = table.take((a.data >= 0).view(np.uint8))
-    return _make(a.data * scale, (a,), lambda g: (g * scale,))
+    """max(x, slope * x), exact for 0 <= slope <= 1 (``ModelDims`` checks)."""
+    x = a.data
+    slope = x.dtype.type(slope)
+
+    def backward(g):
+        # A lookup of 1 or slope by sign, made only when the tape is walked:
+        # np.where over mixed signs is several times slower.
+        return (g * np.array([slope, 1.0], dtype=x.dtype).take((x >= 0).view(np.uint8)),)
+
+    return _make(np.maximum(x, slope * x), (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -292,12 +292,9 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
     return 0
 
 
-def cmd_evaluate(rc: RunConfig, checkpoint: str, out: str | None, per_user: bool,
-                 threads: int) -> int:
+def cmd_evaluate(rc: RunConfig, checkpoint: str, out: str | None, per_user: bool) -> int:
     ds, splits, graph, model = load_model(rc, checkpoint)
-    report = evaluate(
-        model, graph, ds, splits, seed=rc.seed, k=rc.k, on="test", threads=threads
-    )
+    report = evaluate(model, graph, ds, splits, seed=rc.seed, k=rc.k, on="test")
     text = format_report(report, per_user=per_user)
     if out:
         write_report(report, out, per_user=per_user)
@@ -372,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="report file path")
     p.add_argument("--per-user", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
     p = subs.add_parser("recommend", help="top-k outfits for one user")
     _add_common(p)
@@ -403,7 +399,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "train":
         return cmd_train(rc, resume=args.resume)
     if args.command == "evaluate":
-        return cmd_evaluate(rc, args.checkpoint, args.out, args.per_user, args.threads)
+        return cmd_evaluate(rc, args.checkpoint, args.out, args.per_user)
     if args.command == "recommend":
         return cmd_recommend(rc, args.checkpoint, args.user, args.k)
     if args.command == "fltb":

@@ -61,14 +61,22 @@ class Dataset:
         return feature_matrices(self, sorted(self.items))
 
     @cached_property
-    def items_by_category(self) -> dict[int, np.ndarray]:
-        """``category_pools`` of all items; built on first use, then kept."""
-        return category_pools(self, self.items)
-
-    @cached_property
     def outfit_sets(self) -> frozenset[frozenset[int]]:
         """The item set of every stored outfit; built on first use, then kept."""
         return frozenset(frozenset(items) for items in self.outfits.values())
+
+    @cached_property
+    def outfit_templates(self) -> dict[int, tuple[list[list[int]], np.ndarray]]:
+        """Each outfit's category template: per slot, the ``category_pools``
+        list of its item's category (all items, ascending), one list shared
+        by every slot of that category, and the pool sizes as an array;
+        built on first use, then kept."""
+        pools = {cat: ids.tolist() for cat, ids in category_pools(self, self.items).items()}
+        templates = {}
+        for oid, items in self.outfits.items():
+            slots = [pools[self.items[i].category] for i in items]
+            templates[oid] = (slots, np.array([len(pool) for pool in slots]))
+        return templates
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ class ModelDims:
     uniform_attention: bool = False  # debug: constant 1/|N| attention (no softmax)
     linear_compat: bool = False  # debug: drop the tanh in the compatibility map
 
+    def __post_init__(self):
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
+
     @property
     def half(self) -> int:
         return self.d // 2

@@ -3,8 +3,12 @@
 Per user, every outfit outside the train/validation sets is scored by the
 preference score (no sampled candidate subset) and the top k of them are
 selected without sorting the rest; HR, Recall, Precision, and NDCG are
-computed at k and averaged over users with at least one relevant outfit;
-scores come in user x outfit blocks of ``RANK_BLOCK`` users.
+computed at k and averaged over users with at least one relevant outfit.
+Scores come in user x outfit blocks of ``RANK_BLOCK`` users, and each block
+is ranked at once: one scatter drops the train/val outfits, one
+``np.partition`` finds every row's k-th best score, and one ``lexsort``
+orders the scores at least that good.  The metrics come from a users x k
+hit matrix.
 
 Compatibility is measured by AUC of stored outfits against
 category-template negatives and by fill-in-the-blank (FLTB) accuracy: one
@@ -33,7 +37,7 @@ from .score import list_rows, outfit_rows, score_rows
 from .score import score_items  # noqa: F401 (perfbench reads E.score_items)
 from .train import category_template_negative
 
-# Users per score block.  Fixed, whatever ``threads`` is: BLAS may round a
+# Users per score block.  Fixed, whatever the thread count: BLAS may round a
 # row differently in a block of another shape, and the report must not move.
 RANK_BLOCK = 128
 
@@ -64,21 +68,33 @@ class RankingReport:
 
 
 def topk_metrics(ranked, relevants, k: int) -> tuple[float, float, float, float]:
-    """HR, Recall, Precision, NDCG of one ranked list against a relevant set."""
+    """HR, Recall, Precision, NDCG of one ranked list against a relevant set:
+    the one-row case of ``block_metrics``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     relevants = set(relevants)
     if not relevants:
         raise ValueError("empty relevant set; caller must skip this user")
     top = list(ranked)[:k]
-    hits = sum(1 for o in top if o in relevants)
-    hr = 1.0 if hits else 0.0
-    recall = hits / len(relevants)
-    precision = hits / k
-    dcg = sum(1.0 / math.log2(rank + 1) for rank, o in enumerate(top, start=1) if o in relevants)
-    ideal = sum(1.0 / math.log2(rank + 1) for rank in range(1, min(len(relevants), k) + 1))
-    ndcg = dcg / ideal
-    return hr, recall, precision, ndcg
+    hits = np.zeros((1, k), dtype=bool)
+    hits[0, : len(top)] = [o in relevants for o in top]
+    return tuple(float(v[0]) for v in block_metrics(hits, np.array([len(relevants)]), k))
+
+
+def block_metrics(hits: np.ndarray, n_relevant: np.ndarray, k: int):
+    """HR, Recall, Precision, NDCG at ``k`` of each row of ``hits``, a
+    (users, k) bool matrix whose row marks which of a user's ranked outfits,
+    best first, are relevant (False past the end of a shorter list), against
+    ``n_relevant`` relevant outfits per user: four float64 arrays.
+
+    DCG and the ideal DCG are sequential sums (``np.cumsum``) of
+    ``1 / math.log2(rank + 1)``, so each row is exact against summing the
+    discounts one by one."""
+    discount = np.array([1.0 / math.log2(rank + 1) for rank in range(1, k + 1)])
+    n_hits = np.count_nonzero(hits, axis=1)
+    dcg = np.cumsum(np.where(hits, discount, 0.0), axis=1)[:, -1]
+    ideal = np.cumsum(discount)[np.minimum(n_relevant, k) - 1]
+    return (n_hits > 0).astype(np.float64), n_hits / n_relevant, n_hits / k, dcg / ideal
 
 
 def auc(pos_scores, neg_scores) -> float:
@@ -106,6 +122,76 @@ def _best_first(scores: np.ndarray, k: int | None) -> np.ndarray:
     return np.argsort(negated, kind="stable")[:k]
 
 
+def _user_outfit_rows(graph: FashionGraph, parts, user_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's outfits in ``parts`` (maps of user id to outfit ids) as
+    outfit rows from one lookup, concatenated in user order, and the offsets
+    of each user's run."""
+    groups = [part.get(u, ()) for u in user_ids for part in parts]
+    counts = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    offsets = np.concatenate([[0], np.cumsum(counts.reshape(len(user_ids), len(parts)).sum(1))])
+    return graph.rows("outfit", list(chain.from_iterable(groups))), offsets
+
+
+def _mark(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray, lo: int, hi: int, value):
+    """``matrix[i - lo, r] = value`` for every row r of user i, lo <= i < hi,
+    in ``_user_outfit_rows``' layout, in one scatter."""
+    owner = np.repeat(np.arange(hi - lo), np.diff(offsets[lo : hi + 1]))
+    matrix[owner, rows[offsets[lo] : offsets[hi]]] = value
+
+
+def _head(negated: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """The columns of each row's k smallest values in ascending order, ties
+    to the lower column (each row's ``np.argsort(row, kind="stable")[:k]``),
+    given each row's finite k-th smallest value ``kth``: one ``lexsort`` by
+    (row, value, column) of the entries at most ``kth``."""
+    r, c = np.divmod(np.flatnonzero(negated <= kth[:, None]), negated.shape[1])
+    order = np.lexsort((c, negated[r, c], r))
+    counts = np.bincount(r, minlength=len(kth))
+    return c[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+
+
+def _top_k_blocks(users, prop: PropagationOutput, graph: FashionGraph, split: Splits,
+                  exclude_val: bool, k: int | None):
+    """Yield, for each RANK_BLOCK-user score block that holds any of
+    ``users``, those users in row order, their outfit rows best first as a
+    (users, w) matrix, w = k (every outfit when k is None), a row with fewer
+    candidates ending in -1s, and their rows of the block's scores.
+
+    Train (and val) outfits take a negated score of +inf in one scatter.  A
+    row whose k-th best negated score (one ``np.partition``) is finite has at
+    least k candidates, and ``_head`` sorts those at least that good in one
+    ``lexsort`` for every such row; the other rows, and every row when k is
+    None, go through ``_best_first`` over their candidates one by one."""
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = len(graph.outfit_ids)
+    rows = np.sort(graph.rows("user", users))
+    user_ids = graph.user_ids[rows].tolist()
+    parts = (split.train, split.val) if exclude_val else (split.train,)
+    seen, offsets = _user_outfit_rows(graph, parts, user_ids)
+    starts = rows - rows % RANK_BLOCK
+    edges = [0, *(np.flatnonzero(np.diff(starts)) + 1).tolist(), len(rows)] if len(rows) else []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        start = int(starts[lo])
+        block = prop.h_user_star[start : start + RANK_BLOCK] @ prop.h_outfit_star.T
+        scores = block[rows[lo:hi] - start]
+        negated = -scores
+        _mark(negated, seen, offsets, lo, hi, np.inf)
+        columns = np.full((hi - lo, n if k is None else k), -1, dtype=np.int64)
+        exact = np.zeros(hi - lo, dtype=bool)
+        if k is not None and k <= n:
+            kth = np.partition(negated, k - 1, axis=1)[:, k - 1]
+            exact = np.isfinite(kth)
+            columns[exact] = _head(negated[exact], kth[exact], k)
+        for i in np.flatnonzero(~exact).tolist():
+            keep = np.ones(n, dtype=bool)
+            keep[seen[offsets[lo + i] : offsets[lo + i + 1]]] = False
+            candidates = np.flatnonzero(keep)
+            best = candidates[_best_first(scores[i, candidates], k)]
+            columns[i, : len(best)] = best
+        yield user_ids[lo:hi], columns, scores
+
+
 def ranked_outfits(
     users,
     prop: PropagationOutput,
@@ -116,32 +202,18 @@ def ranked_outfits(
 ):
     """Yield (user, outfit ids best first, their scores) per user, in user
     order, over the outfits outside train (and val, with ``exclude_val``);
-    only the first ``k`` of them unless ``k`` is None.
+    only the first ``k`` of them unless ``k`` is None.  A ``k`` below 1
+    raises ``ValueError``.
 
     Scores are the user's row of its fixed RANK_BLOCK-user block of
     h_user_star @ h_outfit_star.T; the order is a stable sort over ascending
     ids, so ties go to the lower id, as ``order_candidates`` does.
     """
     outfit_ids = graph.outfit_ids
-    parts = (split.train, split.val) if exclude_val else (split.train,)
-    rows = np.sort(graph.rows("user", users))
-    user_ids = graph.user_ids[rows].tolist()
-    # Each user's train (and val) outfits as rows, from one lookup.
-    seen = [[o for part in parts for o in part.get(u, ())] for u in user_ids]
-    seen_rows = np.split(graph.rows("outfit", list(chain.from_iterable(seen))),
-                         np.cumsum([len(s) for s in seen])[:-1])
-    block_start, block = -1, None
-    for row, user, excluded in zip(rows.tolist(), user_ids, seen_rows):
-        start = row - row % RANK_BLOCK
-        if start != block_start:
-            block_start = start
-            block = prop.h_user_star[start : start + RANK_BLOCK] @ prop.h_outfit_star.T
-        keep = np.ones(len(outfit_ids), dtype=bool)
-        keep[excluded] = False
-        candidates = np.flatnonzero(keep)
-        scores = block[row - start, candidates]
-        order = _best_first(scores, k)
-        yield user, outfit_ids[candidates[order]], scores[order]
+    for block_users, columns, scores in _top_k_blocks(users, prop, graph, split, exclude_val, k):
+        for user, best, row in zip(block_users, columns, scores):
+            best = best[best >= 0]
+            yield user, outfit_ids[best], row[best]
 
 
 def rank_outfits(
@@ -267,10 +339,7 @@ def compat_auc(
     both scored in one call."""
     outfit_ids = sorted(ds.outfits)
     rng = substream(seed, "auc")  # one stream, in sorted outfit order
-    drawn = [
-        category_template_negative(ds, oid, ds.items_by_category, ds.outfit_sets, rng)
-        for oid in outfit_ids
-    ]
+    drawn = [category_template_negative(ds, oid, rng) for oid in outfit_ids]
     negatives = [n for n in drawn if n is not None]
     if not negatives:
         return None
@@ -296,8 +365,8 @@ def evaluate(
     """Aggregate all metrics over evaluable users; deterministic under seed.
 
     ``on='val'`` ranks validation outfits against everything outside the
-    train set.  ``threads`` is kept for compatibility (``--threads`` and
-    criterion 7 pass it) and no longer changes anything.
+    train set.  ``threads`` is kept because criterion 7 passes it; it
+    changes nothing.
     """
     if on not in ("test", "val"):
         raise ValueError(f"unknown split part {on!r}")
@@ -305,12 +374,19 @@ def evaluate(
         prop = forward(graph, ds, m, mode="eval")
     relevant_map = split.test if on == "test" else split.val
     users = [int(u) for u in graph.user_ids if relevant_map.get(int(u))]
-    kept = []
-    for user, ranked, _ in ranked_outfits(
-        users, prop, graph, split, exclude_val=on == "test", k=k
-    ):
-        hr, recall, precision, ndcg = topk_metrics(ranked.tolist(), relevant_map[user], k)
-        kept.append(UserMetrics(user=user, hr=hr, recall=recall, precision=precision, ndcg=ndcg))
+    # Each user's top k as a row of hits: is the outfit at that rank relevant?
+    relevant, offsets = _user_outfit_rows(graph, (relevant_map,), users)
+    hits, lo = [], 0
+    for block_users, columns, _ in _top_k_blocks(users, prop, graph, split, on == "test", k):
+        hi = lo + len(block_users)
+        is_relevant = np.zeros((hi - lo, len(graph.outfit_ids) + 1), dtype=bool)
+        _mark(is_relevant, relevant, offsets, lo, hi, True)  # column -1, padding, stays False
+        hits.append(np.take_along_axis(is_relevant, columns, axis=1))
+        lo = hi
+    metrics = [[]] * 4
+    if hits:
+        metrics = [a.tolist() for a in block_metrics(np.concatenate(hits), np.diff(offsets), k)]
+    kept = [UserMetrics(u, *values) for u, *values in zip(users, *metrics)]
 
     auc_value = fltb_value = None
     n_trials = 0
@@ -318,16 +394,16 @@ def evaluate(
         auc_value = compat_auc(ds, prop, m, seed)
         fltb_value, n_trials = fltb_accuracy(ds, split, prop, m, seed)
 
-    def mean_of(attr: str) -> float:
-        return float(np.mean([getattr(r, attr) for r in kept])) if kept else 0.0
+    def mean_of(values: list[float]) -> float:
+        return float(np.mean(values)) if values else 0.0
 
     return RankingReport(
         k=k,
         split_part=on,
-        hr=mean_of("hr"),
-        recall=mean_of("recall"),
-        precision=mean_of("precision"),
-        ndcg=mean_of("ndcg"),
+        hr=mean_of(metrics[0]),
+        recall=mean_of(metrics[1]),
+        precision=mean_of(metrics[2]),
+        ndcg=mean_of(metrics[3]),
         auc=auc_value,
         fltb_accuracy=fltb_value,
         n_users_evaluated=len(kept),

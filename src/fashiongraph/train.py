@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import AbstractSet
 
 import numpy as np
 
@@ -141,29 +140,23 @@ TEMPLATE_ATTEMPTS = 100
 
 
 def category_template_negative(
-    ds: Dataset,
-    outfit_id: int,
-    by_category: dict[int, np.ndarray],
-    outfit_sets: AbstractSet[frozenset[int]],
-    rng: np.random.Generator,
+    ds: Dataset, outfit_id: int, rng: np.random.Generator
 ) -> tuple[int, ...] | None:
     """Sample an item list matching the outfit's category multiset.
 
-    Each slot draws uniformly from ``by_category`` (``category_pools``) for
-    its item's category, a pool that holds at least that item.  Retries
-    until the result is not in ``outfit_sets`` (the stored outfits' item
-    sets) and has no duplicate items; gives up after ``TEMPLATE_ATTEMPTS``
-    attempts.  One ``integers`` call per attempt draws every slot, with the
-    same values and generator state as one ``choice`` per slot.
+    Each slot draws uniformly from its item's category pool
+    (``ds.outfit_templates``), a pool that holds at least that item.
+    Retries until the result is not a stored outfit's item set
+    (``ds.outfit_sets``) and has no duplicate items; gives up after
+    ``TEMPLATE_ATTEMPTS`` attempts.  One ``integers`` call per attempt draws
+    every slot, with the same values and generator state as one ``choice``
+    per slot.
     """
-    pools = [by_category[ds.items[i].category] for i in ds.outfits[outfit_id]]
-    sizes = np.array([len(pool) for pool in pools])
+    pools, sizes = ds.outfit_templates[outfit_id]
     for _ in range(TEMPLATE_ATTEMPTS):
-        picks = rng.integers(0, sizes)
-        candidate = tuple(int(pool[k]) for pool, k in zip(pools, picks))
-        if len(set(candidate)) != len(candidate):
-            continue
-        if frozenset(candidate) not in outfit_sets:
+        candidate = tuple(map(list.__getitem__, pools, rng.integers(sizes).tolist()))
+        items = frozenset(candidate)
+        if len(items) == len(candidate) and items not in ds.outfit_sets:
             return candidate
     return None
 
@@ -209,7 +202,7 @@ def sample_negatives(ds: Dataset, split: Splits, seed: int, epoch: int = 0) -> T
 
     comp_pos, comp_neg = [], []
     for o in sorted(ds.outfits):
-        negative = category_template_negative(ds, o, ds.items_by_category, ds.outfit_sets, rng)
+        negative = category_template_negative(ds, o, rng)
         if negative is None:
             warnings.warn(f"no category-template negative found for outfit {o}; skipping")
             continue

@@ -94,6 +94,28 @@ def test_nonlinearities():
     check_op(lambda ts: ad.sum_(ad.softplus(ts[0])), [(6,)], seed=5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+def test_leaky_relu_is_the_sign_lookup_with_and_without_a_tape(dtype, slope):
+    # The max form and its lazy gradient equal scaling each entry by 1 or
+    # slope by its sign, bit for bit, on and off the tape.
+    x = np.random.default_rng(4).normal(size=(5, 7)).astype(dtype)
+    x[0, :3] = [0.0, -0.0, -1e30]
+    scale = np.where(x >= 0, dtype(1.0), dtype(slope)).astype(dtype)
+    with ad.no_grad():
+        off = ad.leaky_relu(Tensor(x, requires_grad=True), slope)
+    leaf = Tensor(x, requires_grad=True)
+    on = ad.leaky_relu(leaf, slope)
+    g = np.random.default_rng(5).normal(size=x.shape).astype(dtype)
+    on.backward(g)
+    for y in (off.data, on.data):
+        assert y.dtype == dtype
+        np.testing.assert_array_equal(y, x * scale)
+    assert off._backward is None and on._backward is not None
+    assert leaf.grad.dtype == dtype
+    np.testing.assert_array_equal(leaf.grad, g * scale)
+
+
 def test_reductions_and_shapes():
     check_op(lambda ts: ad.sum_(ad.mean(ts[0], axis=0)
                                 * ad.sum_(ts[0], axis=1, keepdims=True)),

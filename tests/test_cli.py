@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fashiongraph
 from fashiongraph.cli import main, make_run_config, parse_config_file
 from fashiongraph.dataio import (
     Dataset,
@@ -172,18 +177,38 @@ class TestEvaluateCommand:
             "evaluate", "--config", str(path), "--checkpoint", str(tmp_path / "nope.ckpt"),
         ]) in (1, 2)
 
-    def test_thread_flag_invariant(self, tmp_path):
+    def test_report_bytes_independent_of_blas_threads(self, tmp_path):
+        # One checkpoint evaluated in fresh processes with one and with two
+        # OpenBLAS threads gives the same per-user report bytes.  The data is
+        # big enough that two threads already change a 1-epoch train's bytes.
+        path, out_dir = write_cfg(
+            tmp_path, epochs=1, synth_users=300, synth_outfits=400, synth_items=600,
+            synth_dv=256, synth_dt=64,
+        )
+        assert main(["train", "--config", str(path)]) == 0
+        src = str(Path(fashiongraph.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            report = tmp_path / f"report_{threads}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fashiongraph.cli", "evaluate", "--config", str(path),
+                 "--checkpoint", str(out_dir / "best.ckpt"), "--out", str(report), "--per-user"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[0].count(b"\n") > 300  # the per-user rows are there
+
+    def test_thread_flag_is_gone(self, tmp_path, capsys):
         path, out_dir = self._trained(tmp_path)
-        outs = []
-        for threads, name in ((1, "t1.txt"), (3, "t3.txt")):
-            assert main([
-                "evaluate", "--config", str(path),
-                "--checkpoint", str(out_dir / "best.ckpt"),
-                "--out", str(tmp_path / name), "--threads", str(threads),
-                "--per-user",
-            ]) == 0
-            outs.append((tmp_path / name).read_bytes())
-        assert outs[0] == outs[1]
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--config", str(path), "--checkpoint",
+                  str(out_dir / "best.ckpt"), "--threads", "2"])
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestRecommendAndFltb:
@@ -221,6 +246,18 @@ class TestRecommendAndFltb:
         recommended = {int(r.split("\t")[1]) for r in rows}
         blocked = set(splits.train[user]) | set(splits.val[user])
         assert not blocked & recommended
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_recommend_k_below_one_exits_one(self, tmp_path, capsys, k):
+        path, out_dir = self._trained(tmp_path)
+        capsys.readouterr()  # drop the training summary
+        assert main([
+            "recommend", "--config", str(path),
+            "--checkpoint", str(out_dir / "best.ckpt"), "--user", "3", "--k", str(k),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"k must be >= 1, got {k}" in captured.err
 
     def test_unknown_user_exits_one(self, tmp_path, capsys):
         path, out_dir = self._trained(tmp_path)

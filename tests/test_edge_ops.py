@@ -24,7 +24,6 @@ from fashiongraph.rng import substream
 from fashiongraph.train import (
     Adam,
     TrainConfig,
-    category_pools,
     category_template_negative,
     make_model,
     sample_negatives,
@@ -234,11 +233,9 @@ def reference_negatives(ds, split, seed, epoch):
         candidates = all_outfits[~np.isin(all_outfits, sorted(split.user_known(u)))]
         if len(candidates):
             rec.append((u, o, int(candidates[rng.integers(len(candidates))])))
-    by_category = category_pools(ds, ds.items)
-    outfit_sets = {frozenset(m) for m in ds.outfits.values()}
     comp = []
     for o in sorted(ds.outfits):
-        negative = category_template_negative(ds, o, by_category, outfit_sets, rng)
+        negative = category_template_negative(ds, o, rng)
         if negative is not None:
             comp.append((o, negative))
     return rec, comp

@@ -98,6 +98,14 @@ class TestInit:
                 continue
             assert hashlib.sha256(p.data.tobytes()).hexdigest() == digests[name], name
 
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="leaky_slope"):
+            ModelDims(leaky_slope=slope)
+
+    def test_leaky_slope_bounds_accepted(self):
+        assert [ModelDims(leaky_slope=s).leaky_slope for s in (0.0, 1.0)] == [0.0, 1.0]
+
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             init_model(0, 4, 2, SMALL, seed=0)

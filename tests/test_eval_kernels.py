@@ -2,6 +2,7 @@
 per-outfit references, and the bulk FLTB draws against their rules."""
 
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -133,6 +134,93 @@ def test_top_k_is_the_head_of_the_full_ranking(seed):
     assert tied_at_cut > 0
 
 
+def non_finite_world(seed):
+    """World ``seed`` with small integer embeddings (exact ties) and NaN,
+    +inf and -inf entries: a NaN user row, a user row whose every score is
+    +-inf or NaN, a user with one -inf coordinate, outfit columns scoring
+    +-inf or NaN for every user, a NaN outfit column, and a user left with
+    fewer than 10 candidates."""
+    ds, splits, graph, m, prop = world(seed)
+    rng = np.random.default_rng(seed)
+    h_user = rng.integers(-2, 3, size=prop.h_user_star.shape).astype(np.float64)
+    h_outfit = rng.integers(-2, 3, size=prop.h_outfit_star.shape).astype(np.float64)
+    h_outfit[1::3] = h_outfit[0:-1:3][: len(h_outfit[1::3])]
+    h_user[4] = np.nan
+    h_user[9] = 0.0
+    h_user[9, 0] = np.inf
+    h_user[13, 2] = -np.inf
+    h_outfit[2] = 0.0
+    h_outfit[2, 0] = np.inf
+    h_outfit[7] = 0.0
+    h_outfit[7, 1] = -np.inf
+    h_outfit[11] = np.nan
+    crowded = int(graph.user_ids[5])
+    train = dict(splits.train)
+    train[crowded] = frozenset(int(o) for o in graph.outfit_ids[:-4]) - splits.val.get(
+        crowded, frozenset()) - splits.test.get(crowded, frozenset())
+    splits = dataclasses.replace(splits, train=train)
+    return graph, splits, dataclasses.replace(prop, h_user_star=h_user, h_outfit_star=h_outfit)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_top_k_is_the_stable_sort_head_with_non_finite_scores(monkeypatch, seed, block):
+    graph, splits, prop = non_finite_world(seed)
+    monkeypatch.setattr(E, "RANK_BLOCK", block)
+    fallback = []
+    best_first = E._best_first
+
+    def counting(scores, k):
+        fallback.append(k)
+        return best_first(scores, k)
+
+    monkeypatch.setattr(E, "_best_first", counting)
+    users = [int(u) for u in graph.user_ids]
+    n = len(graph.outfit_ids)
+    for exclude_val in (True, False):
+        for k in (1, 4, 10, n, n + 3, None):
+            fallback.clear()
+            got = list(E.ranked_outfits(users, prop, graph, splits, exclude_val, k=k))
+            assert [u for u, _, _ in got] == users
+            for row, (u, ranked, scores) in enumerate(got):
+                start = row - row % block
+                block_scores = prop.h_user_star[start : start + block] @ prop.h_outfit_star.T
+                excluded = set(splits.train.get(u, ()))
+                if exclude_val:
+                    excluded |= set(splits.val.get(u, ()))
+                candidates = np.array(
+                    [c for c, o in enumerate(graph.outfit_ids.tolist()) if o not in excluded])
+                s = block_scores[row - start, candidates]
+                head = candidates[np.argsort(-s, kind="stable")[:k]]
+                assert ranked.tolist() == graph.outfit_ids[head].tolist(), (u, k)
+                np.testing.assert_array_equal(scores, block_scores[row - start, head])
+            if k in (4, 10):  # both the block path and the exact one ran
+                assert 0 < len(fallback) < len(users), (k, len(fallback))
+            if k is None:
+                assert len(fallback) == len(users)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 40])
+def test_block_metrics_equal_topk_metrics_row_by_row(k):
+    rng = np.random.default_rng(k)
+    rows = 300
+    lengths = rng.integers(0, k + 1, size=rows)  # ranked lists up to k long
+    hits = (rng.random((rows, k)) < 0.3) & (np.arange(k) < lengths[:, None])
+    n_relevant = np.count_nonzero(hits, axis=1) + rng.integers(0, 4, size=rows)
+    n_relevant = np.maximum(n_relevant, 1)
+    got = np.stack(E.block_metrics(hits, n_relevant, k), axis=1)
+    for row in range(rows):
+        ranked = list(range(lengths[row]))
+        relevant = {r for r in ranked if hits[row, r]}
+        relevant |= set(range(-1, -1 - (n_relevant[row] - len(relevant)), -1))
+        assert tuple(got[row].tolist()) == E.topk_metrics(ranked, relevant, k)
+        # NDCG summed one discount at a time, in rank order.
+        dcg = sum(1.0 / math.log2(r + 1) for r in range(1, k + 1) if hits[row, r - 1])
+        ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(n_relevant[row], k) + 1))
+        assert got[row, 3] == dcg / ideal
+
+
 def test_top_k_with_nan_scores_is_the_head_of_the_stable_sort():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -188,11 +276,9 @@ def reference_rview(m, h_item_star, rows):
 
 def auc_lists(ds, prop, seed):
     """Positives and the category-template negatives ``compat_auc`` draws."""
-    pools = category_pools(ds, ds.items)
-    outfit_sets = {frozenset(v) for v in ds.outfits.values()}
     pos = [ds.outfits[o] for o in sorted(ds.outfits)]
     rng = substream(seed, "auc")
-    neg = [category_template_negative(ds, o, pools, outfit_sets, rng) for o in sorted(ds.outfits)]
+    neg = [category_template_negative(ds, o, rng) for o in sorted(ds.outfits)]
     return pos, [n for n in neg if n is not None]
 
 

@@ -199,6 +199,14 @@ class TestEvaluate:
         assert report.n_users_skipped >= 1
         assert report.n_users_evaluated + report.n_users_skipped == len(w.ds.users)
 
+    def test_no_user_with_test_outfits(self):
+        w = SmallWorld(seed=6)
+        for u in w.ds.users:
+            w.splits.test[u] = frozenset()
+        report = evaluate(w.model, w.graph, w.ds, w.splits, seed=0, include_compat=False)
+        assert (report.n_users_evaluated, report.per_user) == (0, ())
+        assert (report.hr, report.recall, report.precision, report.ndcg) == (0.0,) * 4
+
     def test_untrained_hr_near_random_baseline(self):
         # averaged over model seeds, an untrained ranker should sit near the
         # hypergeometric chance level of hitting a test outfit in the top k

@@ -137,7 +137,8 @@ def test_gradient_check_batch_tape_nodes(grad_fixture):
 
 
 def choice_reference(ds, outfit_id, by_category, outfit_sets, rng):
-    """``category_template_negative`` with one ``rng.choice`` per slot."""
+    """``category_template_negative`` with one ``rng.choice`` per slot from
+    pools and outfit sets rebuilt here."""
     template = [ds.items[i].category for i in ds.outfits[outfit_id]]
     for _ in range(TEMPLATE_ATTEMPTS):
         candidate = tuple(int(rng.choice(by_category[cat])) for cat in template)
@@ -160,11 +161,12 @@ def test_template_negative_matches_per_slot_choice(grad_fixture):
     ]
     outcomes = set()
     for ds in datasets:
-        pools, outfit_sets = ds.items_by_category, ds.outfit_sets
+        pools = category_pools(ds, ds.items)
+        outfit_sets = {frozenset(items) for items in ds.outfits.values()}
         for seed in range(3):
             mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             for o in sorted(ds.outfits):
-                got = category_template_negative(ds, o, pools, outfit_sets, mine)
+                got = category_template_negative(ds, o, mine)
                 assert got == choice_reference(ds, o, pools, outfit_sets, theirs)
                 outcomes.add(got is None)
             assert mine.integers(2**62) == theirs.integers(2**62)
@@ -173,12 +175,20 @@ def test_template_negative_matches_per_slot_choice(grad_fixture):
 
 def test_dataset_pools_built_once():
     ds = generate_synthetic(SyntheticConfig(), seed=7)
-    pools = ds.items_by_category
-    assert pools is ds.items_by_category
+    templates = ds.outfit_templates
+    assert templates is ds.outfit_templates
     fresh = category_pools(ds, ds.items)
-    assert pools.keys() == fresh.keys()
-    for cat in fresh:
-        np.testing.assert_array_equal(pools[cat], fresh[cat])
+    assert templates.keys() == ds.outfits.keys()
+    for oid, items in ds.outfits.items():
+        slots, sizes = templates[oid]
+        expected = [fresh[ds.items[i].category].tolist() for i in items]
+        assert slots == expected
+        assert sizes.tolist() == [len(pool) for pool in expected]
+        for pool, item in zip(slots, items):
+            assert item in pool
+    # One list per category, shared by every slot of that category.
+    assert len({id(pool) for slots, _ in templates.values() for pool in slots}) <= len(fresh)
+    assert ds.outfit_sets is ds.outfit_sets
     assert ds.outfit_sets == {frozenset(items) for items in ds.outfits.values()}
 
 

@@ -96,7 +96,7 @@ def per_pair_negatives(ds, split, seed, epoch):
         rec.append((u, o, int(all_outfits[k + np.searchsorted(shifted, k, side="right")])))
     comp = []
     for o in sorted(ds.outfits):
-        negative = category_template_negative(ds, o, ds.items_by_category, ds.outfit_sets, rng)
+        negative = category_template_negative(ds, o, rng)
         if negative is not None:
             comp.append((o, negative))
     return rec, comp
