@@ -2,7 +2,12 @@
 
 A small tape: each op records its parents and a closure that maps the
 output gradient to parent gradients.  ``Tensor.backward()`` walks the tape
-in reverse topological order.  Inside a ``no_grad()`` block ops skip tape
+in reverse topological order and frees the graph as it walks it: each
+interior node drops its gradient, closure and parents once it has pushed
+its gradient on, so an activation lives only until its last consumer's
+backward has run, and the tape is gone when ``backward`` returns.  Leaves
+keep their ``.grad``.  A second ``backward()`` through a walked graph
+raises ``RuntimeError``.  Inside a ``no_grad()`` block ops skip tape
 construction entirely, which keeps repeated forward passes (e.g. the
 finite-difference gradient checker) cheap.
 
@@ -62,24 +67,28 @@ class Tensor:
         return float(self.data)
 
     def backward(self, grad=None):
-        """Accumulate gradients of this tensor w.r.t. all graph leaves."""
+        """Accumulate gradients of this tensor w.r.t. all graph leaves,
+        freeing the graph behind the walk.  A walked node's closure becomes
+        ``_walked``, so walking it again raises."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
             grad = np.ones_like(self.data)
         order = _topo_order(self)
         self.grad = np.asarray(grad)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf
                 continue
-            parent_grads = node._backward(node.grad)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                if parent.grad is None:
-                    parent.grad = pg
-                else:
-                    parent.grad = parent.grad + pg
+            if node.grad is not None:
+                for parent, pg in zip(node._parents, node._backward(node.grad)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    if parent.grad is None:
+                        parent.grad = pg
+                    else:
+                        parent.grad = parent.grad + pg
+            node.grad, node._backward, node._parents = None, _walked, ()
 
     # Operator sugar; every op also exists as a module-level function.
     def __add__(self, other):
@@ -128,6 +137,11 @@ def _coerce(other, like: np.ndarray) -> Tensor:
     if isinstance(other, (int, float)):
         return Tensor(np.asarray(other, dtype=like.dtype))
     return Tensor(np.asarray(other))
+
+
+def _walked(g):
+    raise RuntimeError("this graph was already walked by backward(), which frees it; "
+                       "build it again to take another gradient")
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -430,7 +444,9 @@ def edge_sum(alpha: Tensor, x: Tensor, edges) -> Tensor:
     ``x`` is (n_src, d).  Over the level's ``EdgeLayout`` the n targets of
     in-degree k are one batched product of their (n, heads, k) weights by
     their (n, k, d) source rows, and the backward is one product per group
-    too, so no (heads, n_edges, d) array is built.
+    too, so no (heads, n_edges, d) array is built.  The tape keeps no
+    (n_edges, d) array either: the backward gathers the source rows again
+    from ``x``.
     """
     layout = edges.layout
     tgt, src = layout.tgt, layout.src
@@ -448,6 +464,7 @@ def edge_sum(alpha: Tensor, x: Tensor, edges) -> Tensor:
     out[:, tgt.ids] = rows.transpose(1, 0, 2)
 
     def backward(g):
+        xs = np.take(x.data, layout.src_rows, axis=0)
         g_rows = np.take(g, tgt.ids, axis=1)  # (heads, n_rows, d)
         ga = np.empty_like(alpha.data) if alpha.requires_grad else None
         g_edge = np.empty_like(xs, dtype=np.result_type(a, g)) if x.requires_grad else None

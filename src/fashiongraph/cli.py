@@ -122,6 +122,8 @@ def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -
     rc = RunConfig(**typed)
     if rc.mode not in ("synthetic", "files"):
         raise ValueError(f"mode must be 'synthetic' or 'files', got {rc.mode!r}")
+    if rc.k < 1:
+        raise ValueError(f"config key k must be >= 1, got {rc.k}")
     if rc.mode == "files":
         paths = {
             "interactions": rc.interactions,

@@ -13,6 +13,7 @@ On-disk formats (all ids are unsigned 64-bit integers in text form):
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,7 @@ from .rng import substream
 
 FEATURES_MAGIC = b"FGATFEAT"
 FEATURES_VERSION = 1
+FEATURES_CHUNK_BYTES = 1 << 20  # read_features reads about this much at a time
 _U64_MAX = 2**64 - 1
 
 
@@ -164,31 +166,48 @@ def _read_tsv(path: str | Path, n_fields: int):
 
 
 def read_features(path: str | Path) -> dict[int, np.ndarray]:
-    """Read one modality's feature file; returns item id -> float32 vector."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 20:
-        raise DatasetError(f"{path}: truncated header ({len(blob)} bytes, expected 20)")
-    if blob[:8] != FEATURES_MAGIC:
-        raise DatasetError(f"{path}: bad magic {blob[:8]!r}")
-    version, count, dim = struct.unpack_from("<III", blob, 8)
-    if version != FEATURES_VERSION:
-        raise DatasetError(f"{path}: unsupported version {version}")
-    record = 8 + 4 * dim
-    expected = 20 + count * record
-    if len(blob) != expected:
-        raise DatasetError(f"{path}: truncated ({len(blob)} bytes, expected {expected})")
-    layout = np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
-    records = np.frombuffer(blob, dtype=layout, count=count, offset=20)
-    vectors = records["vec"].copy()  # one allocation; each item's vector is a row
+    """Read one modality's feature file; returns item id -> float32 vector.
+
+    The records are read ``FEATURES_CHUNK_BYTES`` at a time straight into
+    the id array and the (count, dim) matrix, so the file is never held
+    whole as bytes beside its matrix.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 20:
+            raise DatasetError(f"{path}: truncated header ({size} bytes, expected 20)")
+        header = fh.read(20)
+        if header[:8] != FEATURES_MAGIC:
+            raise DatasetError(f"{path}: bad magic {header[:8]!r}")
+        version, count, dim = struct.unpack_from("<III", header, 8)
+        if version != FEATURES_VERSION:
+            raise DatasetError(f"{path}: unsupported version {version}")
+        record = 8 + 4 * dim
+        expected = 20 + count * record
+        if size != expected:
+            raise DatasetError(f"{path}: truncated ({size} bytes, expected {expected})")
+        layout = np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
+        ids = np.empty(count, dtype=np.uint64)
+        vectors = np.empty((count, dim), dtype=np.float32)  # each item's vector is a row
+        per_chunk = max(1, FEATURES_CHUNK_BYTES // record)
+        for start in range(0, count, per_chunk):
+            n = min(per_chunk, count - start)
+            chunk = fh.read(n * record)
+            if len(chunk) != n * record:  # the file shrank while it was read
+                got = 20 + start * record + len(chunk)
+                raise DatasetError(f"{path}: truncated ({got} bytes, expected {expected})")
+            records = np.frombuffer(chunk, dtype=layout)
+            ids[start:start + n] = records["id"]
+            vectors[start:start + n] = records["vec"]
     # min and max are NaN or infinite iff some value is; unlike
     # np.isfinite(vectors).all() they allocate no matrix-sized mask.
     if vectors.size and not (np.isfinite(vectors.min()) and np.isfinite(vectors.max())):
         row = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
-        raise DatasetError(f"{path}: item {records['id'][row]}: non-finite feature value")
-    features = {int(iid): vectors[k] for k, iid in enumerate(records["id"])}
+        raise DatasetError(f"{path}: item {ids[row]}: non-finite feature value")
+    features = {int(iid): vectors[k] for k, iid in enumerate(ids)}
     if len(features) != count:  # a repeated id would silently keep its last record
-        ids, counts = np.unique(records["id"], return_counts=True)
-        raise DatasetError(f"{path}: duplicate item id {ids[counts > 1][0]}")
+        unique, counts = np.unique(ids, return_counts=True)
+        raise DatasetError(f"{path}: duplicate item id {unique[counts > 1][0]}")
     return features
 
 

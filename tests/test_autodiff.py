@@ -106,12 +106,12 @@ def test_leaky_relu_is_the_sign_lookup_with_and_without_a_tape(dtype, slope):
         off = ad.leaky_relu(Tensor(x, requires_grad=True), slope)
     leaf = Tensor(x, requires_grad=True)
     on = ad.leaky_relu(leaf, slope)
+    assert off._backward is None and on._backward is not None
     g = np.random.default_rng(5).normal(size=x.shape).astype(dtype)
     on.backward(g)
     for y in (off.data, on.data):
         assert y.dtype == dtype
         np.testing.assert_array_equal(y, x * scale)
-    assert off._backward is None and on._backward is not None
     assert leaf.grad.dtype == dtype
     np.testing.assert_array_equal(leaf.grad, g * scale)
 
@@ -145,6 +145,24 @@ def test_reused_node_accumulates():
     y = x * x + x * 2.0  # x used three times
     y.backward()
     np.testing.assert_allclose(x.grad, [8.0])
+
+
+def test_backward_frees_the_tape_and_a_second_walk_raises():
+    x = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    shared = x * x
+    y = ad.sum_(shared * 2.0)
+    other = ad.sum_(shared)
+    y.backward()
+    np.testing.assert_array_equal(x.grad, [12.0, -4.0])
+    assert y.grad is None and y._parents == () and shared._parents == ()
+    with pytest.raises(RuntimeError, match="already walked by backward"):
+        y.backward()
+    with pytest.raises(RuntimeError, match="already walked by backward"):
+        other.backward()  # reaches the walked node ``shared``
+    np.testing.assert_array_equal(x.grad, [12.0, -4.0])  # no stale step through it
+    z = ad.sum_(x * x)  # a graph built again walks as before
+    z.backward()
+    np.testing.assert_array_equal(x.grad, [18.0, -6.0])
 
 
 def test_softplus_stability():

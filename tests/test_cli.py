@@ -66,6 +66,12 @@ class TestConfig:
         p.write_text("# comment\n\nseed=3\n")
         assert parse_config_file(p) == {"seed": "3"}
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, tmp_path, k):
+        path, _ = write_cfg(tmp_path, k=k)
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            make_run_config(parse_config_file(path), {})
+
     def test_files_mode_needs_paths(self, tmp_path):
         p = tmp_path / "f.cfg"
         p.write_text("seed=1\nmode=files\n")
@@ -149,6 +155,12 @@ class TestTrain:
         assert main(["train", "--config", str(pb), "--resume"]) == 0
         assert (out_a / "best.ckpt").read_bytes() == (out_b / "best.ckpt").read_bytes()
         assert (out_a / "last.ckpt").read_bytes() == (out_b / "last.ckpt").read_bytes()
+
+    def test_k_below_one_exits_one_before_training(self, tmp_path, capsys):
+        path, out_dir = write_cfg(tmp_path, k=0)
+        assert main(["train", "--config", str(path)]) == 1
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out_dir / "train_log.csv").exists()
 
     def test_resume_without_checkpoint_fails(self, tmp_path):
         path, _ = write_cfg(tmp_path)

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fashiongraph import dataio
 from fashiongraph.dataio import (
     Dataset,
     DatasetError,
@@ -183,6 +185,48 @@ class TestFeatureFileFuzz:
             assert main(["ingest", "--config", str(cfg)]) == 1
             err = capsys.readouterr().err
             assert "Traceback" not in err and str(paths["visual"]) in err, err
+
+
+class TestFeatureChunks:
+    """``read_features`` reads records a chunk at a time; a chunk of 1 or 3
+    records must give what one parse of the whole file gives."""
+
+    DIM = 5
+    RECORD = 8 + 4 * DIM
+
+    def write(self, tmp_path, count=7):
+        rng = np.random.default_rng(11)
+        feats = {2**63 + int(i): rng.normal(size=self.DIM).astype(np.float32)
+                 for i in rng.permutation(1000)[:count]}
+        path = tmp_path / "f.bin"
+        write_features(path, feats)
+        return path
+
+    @pytest.mark.parametrize("records", [1, 3])
+    def test_chunked_read_equals_one_parse(self, tmp_path, monkeypatch, records):
+        path = self.write(tmp_path)  # 7 records: not a multiple of 3
+        monkeypatch.setattr(dataio, "FEATURES_CHUNK_BYTES", records * self.RECORD)
+        layout = np.dtype([("id", "<u8"), ("vec", "<f4", (self.DIM,))])
+        whole = np.frombuffer(path.read_bytes(), dtype=layout, offset=20)
+        back = read_features(path)
+        assert list(back) == [int(i) for i in whole["id"]]
+        np.testing.assert_array_equal(np.stack(list(back.values())), whole["vec"])
+
+    @pytest.mark.parametrize("records", [1, 3])
+    def test_cut_inside_a_later_chunk_is_truncated(self, tmp_path, monkeypatch, records):
+        path = self.write(tmp_path)
+        blob = path.read_bytes()
+        cut = 20 + 5 * self.RECORD + 7  # inside record 5: chunk 5 or chunk 1
+        path.write_bytes(blob[:cut])
+        monkeypatch.setattr(dataio, "FEATURES_CHUNK_BYTES", records * self.RECORD)
+        with pytest.raises(DatasetError, match=f"{path}: truncated \\({cut} bytes"):
+            read_features(path)
+        # The same cut found while reading, as when the file shrinks after
+        # its size was taken.
+        monkeypatch.setattr(dataio, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=len(blob))))
+        with pytest.raises(DatasetError, match=f"{path}: truncated \\({cut} bytes"):
+            read_features(path)
 
 
 def _dataset_with_user_counts(counts: dict[int, int]) -> Dataset:

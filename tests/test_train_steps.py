@@ -1,21 +1,23 @@
 """The in-place Adam step against the textbook expressions, the one-call
-rec-negative draw against the per-pair loop, and the crash-safe ``train``
-command: a run that dies while writing a checkpoint resumes to the bytes
-of an uninterrupted run."""
+rec-negative draw against the per-pair loop, a batch's tape freed by its
+backward, and the crash-safe ``train`` command: a run that dies while
+writing a checkpoint resumes to the bytes of an uninterrupted run."""
 
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fashiongraph import cli
+from fashiongraph import cli, train
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.rng import substream
 from fashiongraph.train import (
     Adam,
     TrainConfig,
+    batch_loss,
     category_template_negative,
     make_model,
     sample_negatives,
@@ -33,11 +35,37 @@ synth_interactions_per_user=6
 """
 
 
-def small_model(dtype):
+def small_setup(dtype):
     ds = generate_synthetic(SyntheticConfig(n_users=8, n_outfits=12, n_items=24,
                                             interactions_per_user=6), seed=2)
-    graph = build_fashion_graph(ds, split_interactions(ds, seed=2))
-    return make_model(graph, ds, TrainConfig(seed=2, d=8, d_h=16, dtype=dtype))
+    splits = split_interactions(ds, seed=2)
+    graph = build_fashion_graph(ds, splits)
+    cfg = TrainConfig(seed=2, d=8, d_h=16, dtype=dtype)
+    return ds, splits, graph, cfg, make_model(graph, ds, cfg)
+
+
+def small_model(dtype):
+    return small_setup(dtype)[-1]
+
+
+def test_backward_frees_the_batch_tape(monkeypatch):
+    # The refined item embeddings are an interior activation that every
+    # level reads; once backward returns nothing may keep them alive.
+    ds, splits, graph, cfg, m = small_setup("float64")
+    forward_tensors, seen = train.forward_tensors, []
+
+    def capture(*args, **kwargs):
+        ft = forward_tensors(*args, **kwargs)
+        seen.append(weakref.ref(ft.h_item_star.data))
+        return ft
+
+    monkeypatch.setattr(train, "forward_tensors", capture)
+    loss, _, _ = batch_loss(m, graph, ds, sample_negatives(ds, splits, 2), cfg, mode="eval")
+    assert len(seen) == 1 and seen[0]() is not None  # the tape holds it
+    m.zero_grads()
+    loss.backward()
+    assert seen[0]() is None
+    assert all(p.grad is not None for _, p in m.parameters())
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
