@@ -89,7 +89,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
+    """The file's ``key=value`` lines as a dict; a key given twice is refused."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -97,7 +99,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key!r} is already set on line {lines[key]}")
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 
@@ -113,11 +118,12 @@ def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -
     typed: dict[str, object] = {}
     for key, value in merged.items():
         annotation = str(_FIELD_TYPES[key])
-        if isinstance(value, str):
-            if "int" in annotation:
-                value = int(value)
-            elif "float" in annotation:
-                value = float(value)
+        if isinstance(value, str) and annotation in ("int", "float"):
+            try:
+                value = int(value) if annotation == "int" else float(value)
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r}: cannot parse {value!r} as {annotation}") from None
         typed[key] = value
     rc = RunConfig(**typed)
     if rc.mode not in ("synthetic", "files"):
@@ -315,6 +321,8 @@ def cmd_recommend(rc: RunConfig, checkpoint: str, user: int, k: int | None) -> i
 
 
 def cmd_fltb(rc: RunConfig, checkpoint: str, trials: int) -> int:
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     ds, splits, graph, model = load_model(rc, checkpoint)
     prop = forward(graph, ds, model, mode="eval")
     accuracy, n = fltb_accuracy(

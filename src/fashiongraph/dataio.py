@@ -425,6 +425,10 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
         raise DatasetError("fewer users or outfits than clusters")
     if not 0.0 <= cfg.cluster_purity <= 1.0:
         raise DatasetError("cluster_purity must be in [0, 1]")
+    if not 0.0 <= cfg.unused_item_fraction <= 1.0:  # NaN fails both
+        raise DatasetError("unused_item_fraction must be in [0, 1]")
+    if not 0.0 <= cfg.feature_noise < math.inf:
+        raise DatasetError("feature_noise must be finite and >= 0")
 
     rng = substream(seed, "synthetic")
     n_pool = int(cfg.n_items * cfg.unused_item_fraction)

@@ -4,11 +4,10 @@ Per user, every outfit outside the train/validation sets is scored by the
 preference score (no sampled candidate subset) and the top k of them are
 selected without sorting the rest; HR, Recall, Precision, and NDCG are
 computed at k and averaged over users with at least one relevant outfit.
-Scores come in user x outfit blocks of ``RANK_BLOCK`` users, and each block
-is ranked at once: one scatter drops the train/val outfits, one
-``np.partition`` finds every row's k-th best score, and one ``lexsort``
-orders the scores at least that good.  The metrics come from a users x k
-hit matrix.
+Scores come in user x outfit blocks of ``RANK_BLOCK`` users, and one kernel
+ranks each block: one ``np.partition`` finds every row's k-th best score,
+and one ``lexsort`` orders the candidates no worse than it, NaN last.  The
+metrics come from a users x k hit matrix.
 
 Compatibility is measured by AUC of stored outfits against
 category-template negatives and by fill-in-the-blank (FLTB) accuracy: one
@@ -108,20 +107,6 @@ def auc(pos_scores, neg_scores) -> float:
     return float((below + not_above).sum() / 2.0 / (pos.size * neg.size))
 
 
-def _best_first(scores: np.ndarray, k: int | None) -> np.ndarray:
-    """Positions of ``scores`` best first, ties to the lower position, cut
-    to the first ``k`` (all when ``k`` is None): ``np.argsort(-scores,
-    kind="stable")[:k]``.  With more than ``k`` scores only those at least
-    as good as the k-th best, found by ``np.partition``, are sorted."""
-    negated = -scores
-    if k is not None and 0 < k < len(negated):
-        kth = np.partition(negated, k - 1)[k - 1]
-        if not np.isnan(kth):  # a NaN k-th value leaves nothing to cut on
-            best = np.flatnonzero(negated <= kth)
-            return best[np.argsort(negated[best], kind="stable")[:k]]
-    return np.argsort(negated, kind="stable")[:k]
-
-
 def _user_outfit_rows(graph: FashionGraph, parts, user_ids) -> tuple[np.ndarray, np.ndarray]:
     """Each user's outfits in ``parts`` (maps of user id to outfit ids) as
     outfit rows from one lookup, concatenated in user order, and the offsets
@@ -139,32 +124,38 @@ def _mark(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray, lo: int, hi
     matrix[owner, rows[offsets[lo] : offsets[hi]]] = value
 
 
-def _head(negated: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
-    """The columns of each row's k smallest values in ascending order, ties
-    to the lower column (each row's ``np.argsort(row, kind="stable")[:k]``),
-    given each row's finite k-th smallest value ``kth``: one ``lexsort`` by
-    (row, value, column) of the entries at most ``kth``."""
-    r, c = np.divmod(np.flatnonzero(negated <= kth[:, None]), negated.shape[1])
-    order = np.lexsort((c, negated[r, c], r))
-    counts = np.bincount(r, minlength=len(kth))
-    return c[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+def _top_k(negated: np.ndarray, candidate: np.ndarray, k: int | None) -> np.ndarray:
+    """Each row's ``np.argsort(row[candidates], kind="stable")[:k]`` (all of
+    them when ``k`` is None) as a (rows, w) column matrix padded with -1,
+    w = k or the row length, where ``negated`` is +inf off ``candidate``.
+    One ``np.partition`` finds each row's k-th smallest value t, and the row
+    takes its candidates not above t: those at most a finite t, which hold
+    its first k, and NaNs, which sort last; all of them when t is NaN or
+    +inf.  One stable ``lexsort`` by (row, value) orders the taken entries,
+    ties in column order.  Candidacy is a mask because a -inf score also
+    negates to +inf."""
+    w = negated.shape[1] if k is None else k
+    taken = candidate
+    if k is not None and k <= negated.shape[1]:
+        kth = np.partition(negated, k - 1, axis=1)[:, k - 1, None]
+        taken = candidate & ~(negated > kth)  # NaN is never above t
+    r, c = np.divmod(np.flatnonzero(taken), negated.shape[1])  # row-major order
+    c = c[np.lexsort((negated[r, c], r))]  # a stable sort: ties keep column order
+    rank = np.arange(len(r)) - np.searchsorted(r, r)  # position within the row
+    head = rank < w
+    columns = np.full((len(negated), w), -1, dtype=np.int64)
+    columns[r[head], rank[head]] = c[head]
+    return columns
 
 
 def _top_k_blocks(users, prop: PropagationOutput, graph: FashionGraph, split: Splits,
                   exclude_val: bool, k: int | None):
     """Yield, for each RANK_BLOCK-user score block that holds any of
-    ``users``, those users in row order, their outfit rows best first as a
-    (users, w) matrix, w = k (every outfit when k is None), a row with fewer
-    candidates ending in -1s, and their rows of the block's scores.
-
-    Train (and val) outfits take a negated score of +inf in one scatter.  A
-    row whose k-th best negated score (one ``np.partition``) is finite has at
-    least k candidates, and ``_head`` sorts those at least that good in one
-    ``lexsort`` for every such row; the other rows, and every row when k is
-    None, go through ``_best_first`` over their candidates one by one."""
+    ``users``, those users in row order, ``_top_k`` of their candidates (the
+    outfits outside train, and val with ``exclude_val``) and their rows of
+    the block's scores."""
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = len(graph.outfit_ids)
     rows = np.sort(graph.rows("user", users))
     user_ids = graph.user_ids[rows].tolist()
     parts = (split.train, split.val) if exclude_val else (split.train,)
@@ -175,21 +166,10 @@ def _top_k_blocks(users, prop: PropagationOutput, graph: FashionGraph, split: Sp
         start = int(starts[lo])
         block = prop.h_user_star[start : start + RANK_BLOCK] @ prop.h_outfit_star.T
         scores = block[rows[lo:hi] - start]
-        negated = -scores
+        negated, candidate = -scores, np.ones(scores.shape, dtype=bool)
         _mark(negated, seen, offsets, lo, hi, np.inf)
-        columns = np.full((hi - lo, n if k is None else k), -1, dtype=np.int64)
-        exact = np.zeros(hi - lo, dtype=bool)
-        if k is not None and k <= n:
-            kth = np.partition(negated, k - 1, axis=1)[:, k - 1]
-            exact = np.isfinite(kth)
-            columns[exact] = _head(negated[exact], kth[exact], k)
-        for i in np.flatnonzero(~exact).tolist():
-            keep = np.ones(n, dtype=bool)
-            keep[seen[offsets[lo + i] : offsets[lo + i + 1]]] = False
-            candidates = np.flatnonzero(keep)
-            best = candidates[_best_first(scores[i, candidates], k)]
-            columns[i, : len(best)] = best
-        yield user_ids[lo:hi], columns, scores
+        _mark(candidate, seen, offsets, lo, hi, False)
+        yield user_ids[lo:hi], _top_k(negated, candidate, k), scores
 
 
 def ranked_outfits(

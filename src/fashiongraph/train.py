@@ -55,13 +55,19 @@ class TrainConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        if min(self.d, self.batch_size, self.heads, self.r_views, self.epochs) <= 0:
-            raise ValueError("dimensions, batch size, and epochs must be positive")
-        if self.lr < 0 or self.l2 < 0:
-            raise ValueError("lr and l2 must be non-negative")
-        for p in (self.dropout_embed, self.dropout_attn):
-            if not 0.0 <= p < 1.0:
-                raise ValueError("dropout rates must lie in [0, 1)")
+        """Reject a bad value, naming its key, before any data or file is touched."""
+        values = vars(self)
+        for key in ("d", "batch_size", "heads", "r_views", "epochs", "d_h", "view_hidden"):
+            if values[key] < 1:
+                raise ValueError(f"{key} must be positive, got {values[key]}")
+        for key in ("lr", "l2", "lambda_rec", "lambda_comp"):
+            if not 0.0 <= values[key] < math.inf:  # NaN fails both
+                raise ValueError(f"{key} must be finite and >= 0, got {values[key]}")
+        for key in ("dropout_embed", "dropout_attn"):
+            if not 0.0 <= values[key] < 1.0:
+                raise ValueError(f"{key} must lie in [0, 1), got {values[key]}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def np_dtype(self):

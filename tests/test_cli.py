@@ -36,6 +36,9 @@ synth_interactions_per_user=6
 def write_cfg(tmp_path, name="run.cfg", seed=13, epochs=2, out="out", **extra):
     out_dir = tmp_path / out
     text = SYNTH_CFG.format(seed=seed, out=out_dir, epochs=epochs)
+    # A key in ``extra`` replaces the template's line for it.
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if line.partition("=")[0] not in extra)
     for key, value in extra.items():
         text += f"{key}={value}\n"
     path = tmp_path / name
@@ -71,6 +74,12 @@ class TestConfig:
         path, _ = write_cfg(tmp_path, k=k)
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
             make_run_config(parse_config_file(path), {})
+
+    def test_key_given_twice_rejected_naming_both_lines(self, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text("seed=1\nmode=synthetic\nseed=2\n")
+        with pytest.raises(ValueError, match=r"twice.cfg:3: 'seed' is already set on line 1"):
+            parse_config_file(p)
 
     def test_files_mode_needs_paths(self, tmp_path):
         p = tmp_path / "f.cfg"
@@ -160,6 +169,30 @@ class TestTrain:
         path, out_dir = write_cfg(tmp_path, k=0)
         assert main(["train", "--config", str(path)]) == 1
         assert "k must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out_dir / "train_log.csv").exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("dtype", "int64", "dtype"),
+        ("dtype", "bogus", "dtype"),
+        ("dtype", "float16", "dtype"),
+        ("lr", "nan", "lr"),
+        ("l2", "nan", "l2"),
+        ("lambda_rec", "nan", "lambda_rec"),
+        ("lambda_rec", "inf", "lambda_rec"),
+        ("lambda_comp", "-1", "lambda_comp"),
+        ("d_h", "0", "d_h"),
+        ("view_hidden", "0", "view_hidden"),
+        ("batch_size", "1.5", "batch_size"),
+        ("synth_noise", "nan", "feature_noise"),
+        ("synth_noise", "-0.5", "feature_noise"),
+        ("synth_unused_fraction", "nan", "unused_item_fraction"),
+    ])
+    def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value,
+                                                       named):
+        path, out_dir = write_cfg(tmp_path, **{key: value})
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
         assert not (out_dir / "train_log.csv").exists()
 
     def test_resume_without_checkpoint_fails(self, tmp_path):
@@ -291,6 +324,17 @@ class TestRecommendAndFltb:
             values.append(out)
             assert "fltb_accuracy=" in out
         assert values[0] == values[1]
+
+    def test_fltb_zero_trials_exits_one(self, tmp_path, capsys):
+        path, out_dir = self._trained(tmp_path)
+        capsys.readouterr()  # drop the training summary
+        assert main([
+            "fltb", "--config", str(path),
+            "--checkpoint", str(out_dir / "best.ckpt"), "--trials", "0",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials must be >= 1, got 0" in captured.err
 
     def test_export_embeddings(self, tmp_path):
         path, out_dir = self._trained(tmp_path)
