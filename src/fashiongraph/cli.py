@@ -189,6 +189,7 @@ def cmd_ingest(rc: RunConfig) -> int:
     print(f"categories: {len(ds.categories)}")
     print(f"graph nodes: {graph.n_nodes}")
     print(f"graph edges: {graph.n_edges}")
+    print(f"item-item edges: {len(graph.levels['item_item'].tgt)}")
     print("category histogram (items per category):")
     counts = {name: 0 for name in ds.categories}
     for item in ds.items.values():

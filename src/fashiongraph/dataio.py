@@ -415,12 +415,14 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
     own random unit direction, so pool items score independently under an
     untrained model while staying separable from every cluster.
     """
-    if cfg.n_clusters < 1:
-        raise DatasetError("n_clusters must be >= 1")
+    for name in ("n_users", "n_outfits", "n_items", "n_categories", "n_clusters", "d_v", "d_t",
+                 "interactions_per_user"):
+        if getattr(cfg, name) < 1:
+            raise DatasetError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if cfg.items_per_outfit < 2:
+        raise DatasetError(f"items_per_outfit must be >= 2, got {cfg.items_per_outfit}")
     if cfg.n_items < cfg.n_categories:
         raise DatasetError("need at least one item per category")
-    if cfg.items_per_outfit < 2:
-        raise DatasetError("outfits need >= 2 items")
     if min(cfg.n_users, cfg.n_outfits) < cfg.n_clusters:
         raise DatasetError("fewer users or outfits than clusters")
     if not 0.0 <= cfg.cluster_purity <= 1.0:

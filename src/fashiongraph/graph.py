@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -174,6 +174,15 @@ def category_cooccurrence_weights(ds: Dataset) -> CategoryGraph:
     return CategoryGraph(weights=weights, co_counts=co)
 
 
+def _member_rows(members: list[list[int]],
+                 item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each outfit's size and the item rows of all members, outfit after
+    outfit in the given order and each outfit's members in stored order."""
+    sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    ids = np.fromiter(chain.from_iterable(members), dtype=np.uint64, count=int(sizes.sum()))
+    return sizes, np.searchsorted(item_ids, ids)
+
+
 def build_item_item_edges(ds: Dataset, cg: CategoryGraph, item_ids: np.ndarray) -> LevelEdges:
     """The item-item level: directed co-outfit neighborhoods whose prior is
     the category weight w(cat(target), cat(source)); ``item_ids`` is the
@@ -183,15 +192,27 @@ def build_item_item_edges(ds: Dataset, cg: CategoryGraph, item_ids: np.ndarray) 
     outfit containing it; a pair co-occurring in several outfits yields one
     edge.  Edges are sorted by (target, source) so summation order is fixed.
     """
-    pairs = {(i, j) for members in ds.outfits.values() for i, j in permutations(members, 2)}
-    # Rows keep id order, so pairs sorted by id are sorted by row.
-    by_id = np.array(sorted(pairs), dtype=np.uint64).reshape(-1, 2)
-    tgt, src = np.searchsorted(item_ids, by_id.T)
+    n = len(item_ids)
+    sizes, rows = _member_rows(list(ds.outfits.values()), item_ids)
+    starts = np.cumsum(sizes) - sizes
+    # Each edge as the code tgt * n + src: rows lie below n, so a code fits
+    # in int64 for fewer than 3 * 10^9 items, and codes sort as (tgt, src).
+    codes = [np.empty(0, dtype=np.int64)]
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        # (outfits of this size, size): every ordered pair of distinct positions
+        grid = rows[starts[sizes == size, None] + np.arange(size)]
+        tgt_pos, src_pos = np.nonzero(~np.eye(size, dtype=bool))
+        codes.append((grid[:, tgt_pos] * n + grid[:, src_pos]).ravel())
+    # One code per run of the sorted codes (they are >= 0, so the first is
+    # kept).  NumPy 2's hash-based np.unique is 20x slower on the 24k codes of
+    # a 3,000-item graph, and its first call imports numpy.ma (about 1 MB).
+    codes = np.sort(np.concatenate(codes))
+    tgt, src = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n)
     table = np.zeros((len(ds.categories), len(ds.categories)))
     for pair, w in cg.weights.items():
         table[pair] = w
     cats = np.array([ds.items[i].category for i in item_ids.tolist()], dtype=np.int64)
-    return LevelEdges(tgt, src, len(item_ids), prior=table[cats[tgt], cats[src]])
+    return LevelEdges(tgt, src, n, prior=table[cats[tgt], cats[src]])
 
 
 def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGraph:
@@ -205,18 +226,26 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
     outfit_ids = np.array(sorted(ds.outfits), dtype=np.uint64)
     item_ids = np.array(sorted(ds.items), dtype=np.uint64)
 
-    # (target, source) id pairs, sorted by target id; rows keep id order,
-    # so every level comes out target-sorted.
-    edge_pairs = sorted(ds.interactions) if splits is None else splits.pairs("train")
-    uo = np.array(edge_pairs, dtype=np.uint64).reshape(-1, 2)
-    oi = np.array([(o, i) for o in sorted(ds.outfits) for i in ds.outfits[o]], dtype=np.uint64)
+    # Rows keep id order: the outfit-item edges, outfit by outfit in id
+    # order, come out target-sorted, and the user-outfit edges sorted by
+    # (user row, outfit row) are in (user id, outfit id) order.
+    sizes, oi_src = _member_rows([ds.outfits[o] for o in outfit_ids.tolist()], item_ids)
+    oi_tgt = np.repeat(np.arange(len(outfit_ids)), sizes)
+    if splits is None:
+        users, outfits = np.fromiter(chain.from_iterable(ds.interactions), dtype=np.uint64,
+                                     count=2 * len(ds.interactions)).reshape(-1, 2).T
+    else:
+        counts = [len(part) for part in splits.train.values()]
+        users = np.repeat(np.fromiter(splits.train, dtype=np.uint64, count=len(counts)), counts)
+        outfits = np.fromiter(chain.from_iterable(splits.train.values()), dtype=np.uint64,
+                              count=len(users))
+    uo_tgt, uo_src = np.searchsorted(user_ids, users), np.searchsorted(outfit_ids, outfits)
+    by_pair = np.lexsort((uo_src, uo_tgt))
     cg = category_cooccurrence_weights(ds)
     levels = {
         "item_item": build_item_item_edges(ds, cg, item_ids),
-        "item_outfit": LevelEdges(np.searchsorted(outfit_ids, oi[:, 0]),
-                                  np.searchsorted(item_ids, oi[:, 1]), len(outfit_ids)),
-        "outfit_user": LevelEdges(np.searchsorted(user_ids, uo[:, 0]),
-                                  np.searchsorted(outfit_ids, uo[:, 1]), len(user_ids)),
+        "item_outfit": LevelEdges(oi_tgt, oi_src, len(outfit_ids)),
+        "outfit_user": LevelEdges(uo_tgt[by_pair], uo_src[by_pair], len(user_ids)),
     }
     return FashionGraph(
         user_ids=user_ids,

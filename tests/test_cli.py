@@ -18,6 +18,7 @@ from fashiongraph.dataio import (
     write_features,
 )
 from fashiongraph.embed import read_arrays
+from fashiongraph.graph import build_fashion_graph
 
 from conftest import tiny_dataset
 
@@ -96,6 +97,12 @@ class TestIngest:
         assert "users: 8" in out and "outfits: 12" in out and "items: 24" in out
         assert "categories: 6" in out
         assert "top-5 co-occurring category pairs:" in out
+        rc = make_run_config(parse_config_file(path), {})
+        graph = build_fashion_graph(generate_synthetic(rc.synthetic_config(), rc.seed))
+        n_item_item = len(graph.levels["item_item"].tgt)
+        assert n_item_item > 0
+        # the largest level, printed right after the user-outfit + outfit-item count
+        assert f"graph edges: {graph.n_edges}\nitem-item edges: {n_item_item}\n" in out
 
     def test_bad_training_key_exits_one(self, tmp_path, capsys):
         path, _ = write_cfg(tmp_path, epochs=0)
@@ -186,6 +193,17 @@ class TestTrain:
         ("synth_noise", "nan", "feature_noise"),
         ("synth_noise", "-0.5", "feature_noise"),
         ("synth_unused_fraction", "nan", "unused_item_fraction"),
+        ("synth_categories", "0", "n_categories"),
+        ("synth_categories", "-2", "n_categories"),
+        ("synth_dv", "0", "d_v"),
+        ("synth_dv", "-1", "d_v"),
+        ("synth_dt", "0", "d_t"),
+        ("synth_users", "0", "n_users"),
+        ("synth_outfits", "0", "n_outfits"),
+        ("synth_items", "0", "n_items"),
+        ("synth_clusters", "0", "n_clusters"),
+        ("synth_interactions_per_user", "0", "interactions_per_user"),
+        ("synth_items_per_outfit", "1", "items_per_outfit"),
     ])
     def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value,
                                                        named):

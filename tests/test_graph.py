@@ -352,3 +352,80 @@ def test_pair_tables_match_nested_loop_reference(tiny_ds):
         np.testing.assert_array_equal(item_edges.tgt, [t for t, _, _ in edges])
         np.testing.assert_array_equal(item_edges.src, [s for _, s, _ in edges])
         np.testing.assert_allclose(item_edges.prior, [w for _, _, w in edges], rtol=1e-12)
+
+
+def random_dataset(seed: int, base: int) -> Dataset:
+    """Seeded ids from ``base`` up: outfits of 2-7 items drawn from a shared
+    pool (so one pair sits in several outfits), two items in no outfit, and
+    every dict in shuffled id order."""
+    rng = np.random.default_rng(seed)
+
+    def ids(low, high):  # distinct Python ints from base up
+        return [base + k for k in rng.choice(10**6, size=int(rng.integers(low, high)),
+                                             replace=False).tolist()]
+
+    item_ids = ids(10, 30)
+    items = {i: make_item(int(rng.integers(4)), d_v=2, d_t=2, seed=k)
+             for k, i in enumerate(item_ids)}
+    placed = item_ids[2:]
+    outfit_ids = ids(4, 12)
+    outfits = {o: [placed[k] for k in rng.choice(len(placed), size=int(rng.integers(2, 8)),
+                                                 replace=False)] for o in outfit_ids[1:]}
+    outfits[outfit_ids[0]] = outfits[outfit_ids[1]][::-1]  # the same pairs again
+    users = ids(2, 6)
+    interactions = {(u, outfit_ids[k]) for u in users for k in
+                    rng.choice(len(outfit_ids), size=int(rng.integers(1, 5)), replace=False)}
+    return Dataset(users=users, outfits=outfits, items=items,
+                   interactions=frozenset(interactions), categories=["a", "b", "c", "d"])
+
+
+def reference_levels(ds: Dataset, splits) -> dict[str, tuple[list, list, list | None]]:
+    """Each level's (tgt, src, prior) straight from its definition, one id at a time."""
+    row = {kind: {i: r for r, i in enumerate(sorted(ids))}
+           for kind, ids in (("user", ds.users), ("outfit", ds.outfits), ("item", ds.items))}
+    cg = category_cooccurrence_weights(ds)
+    co_outfit = sorted({(row["item"][i], row["item"][j]) for members in ds.outfits.values()
+                        for i in members for j in members if i != j})
+    cat = {r: ds.items[i].category for i, r in row["item"].items()}
+    members = [(row["outfit"][o], row["item"][i])
+               for o in sorted(ds.outfits) for i in ds.outfits[o]]
+    pairs = ds.interactions if splits is None else splits.pairs("train")
+    interacted = sorted((row["user"][u], row["outfit"][o]) for u, o in pairs)
+    return {
+        "item_item": ([t for t, _ in co_outfit], [s for _, s in co_outfit],
+                      [cg.weight(cat[t], cat[s]) for t, s in co_outfit]),
+        "item_outfit": ([o for o, _ in members], [i for _, i in members], None),
+        "outfit_user": ([u for u, _ in interacted], [o for _, o in interacted], None),
+    }
+
+
+@pytest.mark.parametrize("base", [0, 2**63])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("with_splits", [False, True])
+def test_every_level_equals_its_definition(seed, base, with_splits):
+    ds = random_dataset(seed, base)
+    splits = split_interactions(ds, seed) if with_splits else None
+    if with_splits:
+        assert splits.compat_negative_pool  # items in no outfit
+    graph = build_fashion_graph(ds, splits)
+    for name, (tgt, src, prior) in reference_levels(ds, splits).items():
+        level = graph.levels[name]
+        assert level.tgt.dtype == level.src.dtype == np.int64
+        np.testing.assert_array_equal(level.tgt, np.array(tgt, dtype=np.int64), err_msg=name)
+        np.testing.assert_array_equal(level.src, np.array(src, dtype=np.int64), err_msg=name)
+        if prior is None:
+            assert level.prior is None
+        else:
+            np.testing.assert_array_equal(level.prior, prior, err_msg=name)
+
+
+def test_item_item_edges_of_one_two_item_outfit():
+    base = 2**63
+    items = {base + 9: make_item(1, seed=0), base + 4: make_item(0, seed=1),
+             base + 5: make_item(0, seed=2)}  # base + 5 is in no outfit
+    ds = Dataset(users=[0], outfits={3: [base + 9, base + 4]}, items=items,
+                 interactions=frozenset({(0, 3)}), categories=["a", "b"])
+    item_ids = np.array(sorted(ds.items), dtype=np.uint64)
+    edges = build_item_item_edges(ds, category_cooccurrence_weights(ds), item_ids)
+    assert edges.tgt.tolist() == [0, 2] and edges.src.tolist() == [2, 0]
+    assert edges.prior.tolist() == [1.0, 1.0] and edges.n_tgt == 3
