@@ -29,7 +29,7 @@ from .dataio import (
     split_interactions,
     write_features,
 )
-from .embed import ModelState, checkpoint_sections, load_checkpoint, write_arrays
+from .embed import CheckpointImage, ModelState, checkpoint_image, load_checkpoint, write_image
 from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits, write_report
 from .graph import FashionGraph, build_fashion_graph
 from .propagate import forward
@@ -205,20 +205,20 @@ def cmd_ingest(rc: RunConfig) -> int:
     return 0
 
 
-def _sections(path: Path, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """``checkpoint_sections`` of ``arrays``; a refusal names ``path``."""
+def _image(path: Path, arrays: dict[str, np.ndarray]) -> CheckpointImage:
+    """``checkpoint_image`` of ``arrays``; a refusal names ``path``."""
     try:
-        return checkpoint_sections(arrays)
+        return checkpoint_image(arrays)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _save_replacing(path: Path, sections: dict[str, np.ndarray]) -> None:
-    """Write checkpoint sections to a temporary file beside ``path`` and
+def _save_replacing(path: Path, *images: CheckpointImage) -> None:
+    """Write checkpoint images to a temporary file beside ``path`` and
     move it into place, so ``path`` always holds a whole checkpoint."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        write_arrays(tmp, sections)
+        write_image(tmp, *images)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -275,26 +275,27 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
             if improved:
                 best_hr = hr32
                 best_epoch = epoch
-            # Both files' sections are cast and checked before either file is
+            # Both files' images are cast and checked before either file is
             # opened, so a refused epoch leaves no file of its own; the
-            # parameters are cast once and shared.
-            params = _sections(best_path if improved else last_path, model.to_arrays())
-            last = {**params, **_sections(last_path, {
+            # parameters are cast once, straight from the model, and shared.
+            params = _image(best_path if improved else last_path,
+                            {name: p.data for name, p in model.parameters()})
+            last = _image(last_path, {
                 **optimizer.state_arrays(),
                 "meta/epoch": np.array([epoch], dtype=np.float32),
                 "meta/best_hr": np.array([best_hr], dtype=np.float32),
                 "meta/best_epoch": np.array([best_epoch], dtype=np.float32),
-            })}
+            })
             if improved:
-                _save_replacing(
-                    best_path, {**params, "meta/epoch": np.array([epoch], dtype=np.float32)}
-                )
+                _save_replacing(best_path, params, checkpoint_image(
+                    {"meta/epoch": np.array([epoch], dtype=np.float32)}))
             log.write(
                 f"{epoch},{stats.l_rec:.10f},{stats.l_comp:.10f},{stats.l_total:.10f},"
                 f"{val.hr:.10f},{val.ndcg:.10f}\n"
             )
             log.flush()
-            _save_replacing(last_path, last)
+            _save_replacing(last_path, params, last)
+            del params, last  # no image is kept through the next epoch's training
     print(f"trained {cfg.epochs} epochs; best val HR@{rc.k} {float(best_hr):.6f} "
           f"at epoch {best_epoch}")
     print(f"checkpoints: {best_path} (best), {last_path} (last); log: {log_path}")
@@ -425,7 +426,9 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except (DatasetError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

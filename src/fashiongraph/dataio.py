@@ -56,6 +56,15 @@ class Dataset:
     def d_t(self) -> int:
         return next(iter(self.items.values())).textual.shape[0]
 
+    def validate(self) -> None:
+        """``validate_dataset`` of this dataset on the first call; a later
+        call returns at once, so a loaded dataset is checked once however
+        many steps ask.  Like the cached properties, this assumes the
+        dataset is not changed once built."""
+        if "validated" not in self.__dict__:
+            validate_dataset(self)
+            self.__dict__["validated"] = True
+
     @cached_property
     def item_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``feature_matrices`` of all items in ascending id order, the
@@ -280,7 +289,7 @@ def load_dataset(
         interactions=frozenset(inter),
         categories=categories,
     )
-    validate_dataset(ds)
+    ds.validate()
     return ds
 
 
@@ -511,7 +520,7 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
         interactions=frozenset(interactions),
         categories=categories,
     )
-    validate_dataset(ds)
+    ds.validate()
     return ds
 
 

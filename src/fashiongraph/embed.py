@@ -14,9 +14,12 @@ and a row-major little-endian f32 payload.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .rng import substream
 
 CHECKPOINT_MAGIC = b"FGATCKPT"
 CHECKPOINT_VERSION = 1
+_IOV_MAX = 1024  # buffers per os.writev call: IOV_MAX on Linux and macOS
 
 LEVELS = ("item_item", "item_outfit", "outfit_user")
 
@@ -192,17 +196,64 @@ def _all_finite(arr: np.ndarray) -> bool:
     )
 
 
-def checkpoint_sections(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Named arrays as the contiguous little-endian f32 sections a
-    checkpoint stores, in insertion order; an array already in that form is
-    kept, not copied.  Raises ``ValueError`` naming the section when its
-    cast holds a NaN or infinite value."""
+class CheckpointImage(NamedTuple):
+    """Named arrays as a checkpoint stores them: every section's values cast
+    once into one little-endian f32 payload, section after section, plus
+    each section's header (name length, utf-8 name, rank and dims)."""
+
+    headers: list[bytes]
+    payload: np.ndarray
+    ends: list[int]  # where each section's values end in ``payload``
+
+
+def checkpoint_image(arrays: dict[str, np.ndarray]) -> CheckpointImage:
+    """The image of named arrays, in insertion order.  Raises ``ValueError``
+    naming the section when its f32 cast holds a NaN or infinite value."""
+    names = list(arrays)
+    values = [np.asarray(a) for a in arrays.values()]
+    headers = []
+    for name, arr in zip(names, values):
+        encoded = name.encode("utf-8")
+        headers.append(struct.pack(
+            f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape
+        ))
+    ends = list(accumulate(arr.size for arr in values))
     with np.errstate(over="ignore"):  # an overflow to inf is reported below
-        sections = {name: np.ascontiguousarray(a, dtype="<f4") for name, a in arrays.items()}
-    for name, arr in sections.items():
-        if not _all_finite(arr):
-            raise ValueError(f"section {name!r} holds a non-finite value as float32")
-    return sections
+        payload = np.concatenate([arr.ravel() for arr in values] or [[]], dtype="<f4")
+    if not _all_finite(payload):
+        for name, start, end in zip(names, [0, *ends], ends):
+            if not _all_finite(payload[start:end]):
+                raise ValueError(f"section {name!r} holds a non-finite value as float32")
+    return CheckpointImage(headers, payload, ends)
+
+
+def write_image(path: str | Path, *images: CheckpointImage) -> None:
+    """Write the sections of ``images``, in order, as one checkpoint file.
+
+    The headers and payload slices go out in one ``os.writev`` call, so the
+    payload is not copied again; more calls follow only if the system
+    writes less than it was given.
+    """
+    parts = [
+        CHECKPOINT_MAGIC,
+        struct.pack("<II", CHECKPOINT_VERSION, sum(len(image.headers) for image in images)),
+    ]
+    for image in images:
+        payload = memoryview(image.payload).cast("B")
+        for header, start, end in zip(image.headers, [0, *image.ends], image.ends):
+            parts += (header, payload[4 * start : 4 * end])
+    with open(path, "wb") as fh:
+        if not hasattr(os, "writev"):  # Windows: the buffered writer copies
+            fh.writelines(parts)
+            return
+        k = 0
+        while k < len(parts):
+            written = os.writev(fh.fileno(), parts[k : k + _IOV_MAX])
+            while k < len(parts) and written >= len(parts[k]):
+                written -= len(parts[k])
+                k += 1
+            if written:
+                parts[k] = memoryview(parts[k])[written:]
 
 
 def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
@@ -212,19 +263,10 @@ def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     is opened, when a section's f32 cast holds a NaN or infinite value.
     """
     try:
-        sections = checkpoint_sections(arrays)
+        image = checkpoint_image(arrays)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(sections)))
-        for name, arr in sections.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    write_image(path, image)
 
 
 def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -260,6 +302,8 @@ def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
             name = blob[start:offset].decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: section {k} name is not utf-8") from None
+        if name in out:  # a repeated name would silently keep its last section
+            raise ValueError(f"{path}: duplicate section {name!r}")
         (ndim,) = u32s(1, f"section {name!r} rank")
         if ndim > 32:  # NumPy 1.x arrays hold at most 32 dimensions
             raise ValueError(f"{path}: section {name!r} has rank {ndim}")
@@ -278,11 +322,7 @@ def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
 def save_checkpoint(m: ModelState, path: str | Path, extra: dict[str, np.ndarray] | None = None):
     """Write model parameters (plus optional extra sections, e.g. optimizer
     state) to ``path``."""
-    arrays = m.to_arrays()
-    if extra:
-        for name, arr in extra.items():
-            arrays[name] = arr
-    write_arrays(path, arrays)
+    write_arrays(path, {name: p.data for name, p in m.parameters()} | (extra or {}))
 
 
 def load_checkpoint(m: ModelState, path: str | Path) -> dict[str, np.ndarray]:

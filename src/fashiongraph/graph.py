@@ -25,7 +25,7 @@ from itertools import chain, permutations
 import numpy as np
 
 from .autodiff import EdgeLayout, Segments
-from .dataio import Dataset, Splits, validate_dataset
+from .dataio import Dataset, Splits
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,10 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
 
     When ``splits`` is given, only training interactions form user-outfit
     edges (evaluation interactions must not leak into propagation).
+    Raises ``DatasetError`` for a dataset that ``validate_dataset`` refuses;
+    one that a loader has already checked is not checked again.
     """
-    validate_dataset(ds)
+    ds.validate()
     user_ids = np.array(sorted(ds.users), dtype=np.uint64)
     outfit_ids = np.array(sorted(ds.outfits), dtype=np.uint64)
     item_ids = np.array(sorted(ds.items), dtype=np.uint64)

@@ -1,7 +1,7 @@
 """Damaged checkpoints at the CLI boundary: a flip of any header byte of
-the parameter sections, a renamed section and a non-finite payload value
-each exit 1 with a message that names the file; the writer refuses a
-section that is not finite as float32."""
+the parameter sections, a renamed or repeated section and a non-finite
+payload value each exit 1 with a message that names the file; the writer
+refuses a section that is not finite as float32."""
 
 import math
 import struct
@@ -87,6 +87,15 @@ def test_renamed_parameter_section_exits_one_naming_the_file(small_checkpoint, t
     )
 
 
+def test_repeated_section_exits_one_naming_the_file(small_checkpoint, tmp_path, capsys):
+    argv, blob = small_checkpoint
+    assert blob.count(b"fusion_b") == 1
+    assert_exits_one_naming(
+        argv, tmp_path / "twice.ckpt", blob.replace(b"fusion_b", b"fusion_w"), capsys,
+        "duplicate section 'fusion_w'",
+    )
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_payload_exits_one_naming_the_file(small_checkpoint, tmp_path, capsys, value):
     argv, blob = small_checkpoint
@@ -106,4 +115,4 @@ def test_writer_refuses_a_section_not_finite_as_float32(tmp_path, value):
     with pytest.raises(ValueError, match="'bad' holds a non-finite value") as info:
         write_arrays(target, arrays)
     assert str(target) in str(info.value)
-    assert not target.exists()
+    assert not list(tmp_path.iterdir())  # neither the file nor a temporary one

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import fashiongraph
-from fashiongraph.cli import main, make_run_config, parse_config_file
+from fashiongraph import dataio
+from fashiongraph.cli import main, make_run_config, parse_config_file, prepare
 from fashiongraph.dataio import (
     Dataset,
     SyntheticConfig,
@@ -45,6 +46,23 @@ def write_cfg(tmp_path, name="run.cfg", seed=13, epochs=2, out="out", **extra):
     path = tmp_path / name
     path.write_text(text)
     return path, out_dir
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "files"])
+def test_prepare_validates_the_dataset_once(tmp_path, monkeypatch, mode):
+    files = {}
+    if mode == "files":
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        files = dict(mode="files", visual_features=paths["visual"],
+                     textual_features=paths["textual"],
+                     **{key: paths[key] for key in ("interactions", "outfits", "items")})
+    cfg, _ = write_cfg(tmp_path, **files)
+    real, checked = dataio.validate_dataset, []
+    for module in (dataio, fashiongraph.graph):  # wherever a step looks the check up
+        monkeypatch.setattr(module, "validate_dataset",
+                            lambda ds: checked.append(ds) or real(ds), raising=False)
+    ds, _, _ = prepare(make_run_config(parse_config_file(cfg), {}))
+    assert checked == [ds]
 
 
 class TestConfig:
@@ -328,6 +346,15 @@ class TestRecommendAndFltb:
             "recommend", "--config", str(path),
             "--checkpoint", str(out_dir / "best.ckpt"), "--user", "999",
         ]) == 1
+
+    def test_unknown_user_message_has_no_repr_quotes(self, tmp_path, capsys):
+        path, out_dir = self._trained(tmp_path)
+        capsys.readouterr()  # drop the training summary
+        assert main([
+            "recommend", "--config", str(path),
+            "--checkpoint", str(out_dir / "best.ckpt"), "--user", "999",
+        ]) == 1
+        assert capsys.readouterr().err == "error: unknown user id 999\n"
 
     def test_fltb_seeded(self, tmp_path, capsys):
         path, out_dir = self._trained(tmp_path)

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -218,3 +220,84 @@ class TestCheckpoint:
         assert list(back) == ["x", "y"]
         assert np.array_equal(back["x"], arrays["x"])
         assert back["x"].shape == (2, 3)
+
+
+def reference_checkpoint(arrays) -> bytes:
+    """The checkpoint format spelled out field by field with ``struct``:
+    magic, version, section count, then per section the name length, the
+    utf-8 name, the rank, the dims and each value as a little-endian f32."""
+    out = [b"FGATCKPT", struct.pack("<II", 1, len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        encoded = name.encode("utf-8")
+        out.append(struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", arr.ndim))
+        out += [struct.pack("<I", n) for n in arr.shape]
+        out += [struct.pack("<f", float(x)) for x in arr.ravel(order="C")]
+    return b"".join(out)
+
+
+def varied_sections() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(3)
+    return {
+        "scalar": np.array(2.5),
+        "empty": np.zeros(0),
+        "empty_rank3": np.zeros((3, 0, 2), dtype=np.float32),
+        "rank3_f64": rng.normal(size=(2, 3, 4)) * 1e3,
+        "f32": rng.normal(size=5).astype(np.float32),
+        "transposed": np.arange(6.0).reshape(2, 3).T,
+        "größe/权重": np.array([[1e-40, -0.0], [3.4e38, 1 / 3]]),
+    }
+
+
+class TestWriter:
+    def test_bytes_equal_a_struct_reference(self, tmp_path):
+        arrays = varied_sections()
+        path = tmp_path / "ref.ckpt"
+        write_arrays(path, arrays)
+        assert path.read_bytes() == reference_checkpoint(arrays)
+        back = read_arrays(path)
+        assert list(back) == list(arrays)
+        for name, arr in arrays.items():
+            assert back[name].shape == arr.shape, name
+            assert np.array_equal(back[name], arr.astype(np.float32)), name
+
+    def test_no_sections(self, tmp_path):
+        write_arrays(tmp_path / "none.ckpt", {})
+        assert (tmp_path / "none.ckpt").read_bytes() == reference_checkpoint({})
+        assert read_arrays(tmp_path / "none.ckpt") == {}
+
+    def test_one_write_call(self, tmp_path, monkeypatch):
+        calls = []
+        real = os.writev
+        monkeypatch.setattr(os, "writev", lambda fd, parts: calls.append(len(parts)) or real(fd, parts))
+        write_arrays(tmp_path / "one.ckpt", varied_sections())
+        assert calls == [2 + 2 * len(varied_sections())]
+
+    def test_short_writes_still_give_the_whole_file(self, tmp_path, monkeypatch):
+        real = os.writev
+        # Take at most 5 bytes of the first part per call.
+        monkeypatch.setattr(os, "writev", lambda fd, parts: real(fd, [memoryview(parts[0])[:5]]))
+        arrays = varied_sections()
+        write_arrays(tmp_path / "short.ckpt", arrays)
+        assert (tmp_path / "short.ckpt").read_bytes() == reference_checkpoint(arrays)
+
+    def test_without_writev(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "writev")  # as on Windows
+        arrays = varied_sections()
+        write_arrays(tmp_path / "plain.ckpt", arrays)
+        assert (tmp_path / "plain.ckpt").read_bytes() == reference_checkpoint(arrays)
+
+    def test_more_sections_than_one_call_takes(self, tmp_path):
+        arrays = {f"s{k}": np.full(k % 3, k, dtype=np.float32) for k in range(700)}
+        write_arrays(tmp_path / "many.ckpt", arrays)
+        assert (tmp_path / "many.ckpt").read_bytes() == reference_checkpoint(arrays)
+
+
+def test_a_repeated_section_name_is_refused(tmp_path):
+    # Two sections named 'w', of 2 and 3 values: the later one must not win.
+    path = tmp_path / "twice.ckpt"
+    blob = reference_checkpoint({"w": np.array([1.0, 2.0]), "x": np.array([3.0, 4.0, 5.0])})
+    path.write_bytes(blob.replace(b"\x01\x00\x00\x00x", b"\x01\x00\x00\x00w"))
+    with pytest.raises(ValueError, match="duplicate section 'w'") as info:
+        read_arrays(path)
+    assert str(path) in str(info.value)

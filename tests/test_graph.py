@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fashiongraph.dataio import Dataset, SyntheticConfig, generate_synthetic, split_interactions
+from fashiongraph.dataio import (
+    Dataset,
+    DatasetError,
+    SyntheticConfig,
+    generate_synthetic,
+    split_interactions,
+)
 from fashiongraph.graph import (
     build_fashion_graph,
     build_item_item_edges,
@@ -429,3 +435,13 @@ def test_item_item_edges_of_one_two_item_outfit():
     edges = build_item_item_edges(ds, category_cooccurrence_weights(ds), item_ids)
     assert edges.tgt.tolist() == [0, 2] and edges.src.tolist() == [2, 0]
     assert edges.prior.tolist() == [1.0, 1.0] and edges.n_tgt == 3
+
+
+def test_a_hand_built_dataset_with_a_dangling_item_is_refused():
+    ds = tiny_dataset()
+    bad = Dataset(users=ds.users, outfits={**ds.outfits, 103: [0, 99]}, items=ds.items,
+                  interactions=ds.interactions, categories=ds.categories)
+    with pytest.raises(DatasetError, match="outfit 103: references missing item 99"):
+        build_fashion_graph(bad)
+    with pytest.raises(DatasetError, match="missing item 99"):  # a refusal is not kept
+        build_fashion_graph(bad)

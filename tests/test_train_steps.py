@@ -166,23 +166,23 @@ def test_crash_while_checkpointing_resumes_to_the_uninterrupted_bytes(
     path_a, out_a = write_cfg(tmp_path, "a")
     assert cli.main(["train", "--config", str(path_a)]) == 0
 
-    real_write = cli.write_arrays
+    real_write = cli.write_image
     calls = []
 
-    def dying_write(path, arrays):
+    def dying_write(path, *images):
         calls.append(path)
         if len(calls) == crash_at_call:  # half a file, then the process dies
             with open(path, "wb") as fh:
                 fh.write(b"FGCKPT")
             raise RuntimeError("disk went away")
-        return real_write(path, arrays)
+        return real_write(path, *images)
 
     path_b, out_b = write_cfg(tmp_path, "b")
-    monkeypatch.setattr(cli, "write_arrays", dying_write)
+    monkeypatch.setattr(cli, "write_image", dying_write)
     assert cli.main(["train", "--config", str(path_b)]) == 2
     assert "disk went away" in capsys.readouterr().err
     assert not list(out_b.glob("*.tmp"))
-    monkeypatch.setattr(cli, "write_arrays", real_write)
+    monkeypatch.setattr(cli, "write_image", real_write)
     assert cli.main(["train", "--config", str(path_b), "--resume"]) == 0
     for name in ("train_log.csv", "last.ckpt", "best.ckpt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
