@@ -29,7 +29,7 @@ from .dataio import (
     split_interactions,
     write_features,
 )
-from .embed import CheckpointImage, ModelState, checkpoint_image, load_checkpoint, write_image
+from .embed import ModelState, check_checkpoints, commit_checkpoint, load_checkpoint
 from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits, write_report
 from .graph import FashionGraph, build_fashion_graph
 from .propagate import forward
@@ -205,25 +205,6 @@ def cmd_ingest(rc: RunConfig) -> int:
     return 0
 
 
-def _image(path: Path, arrays: dict[str, np.ndarray]) -> CheckpointImage:
-    """``checkpoint_image`` of ``arrays``; a refusal names ``path``."""
-    try:
-        return checkpoint_image(arrays)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _save_replacing(path: Path, *images: CheckpointImage) -> None:
-    """Write checkpoint images to a temporary file beside ``path`` and
-    move it into place, so ``path`` always holds a whole checkpoint."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        write_image(tmp, *images)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _truncate_log(log_path: Path, epochs: int) -> None:
     """Keep the first ``epochs`` lines of the training log; raise
     ``ValueError`` if it holds fewer."""
@@ -255,6 +236,9 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
         if not last_path.exists():
             raise FileNotFoundError(f"cannot resume: {last_path} does not exist")
         extra = load_checkpoint(model, last_path)
+        for name in ("meta/epoch", "meta/best_hr", "meta/best_epoch", "opt/t"):
+            if name not in extra:
+                raise ValueError(f"{last_path}: checkpoint is missing section {name!r}")
         optimizer.load_state_arrays(extra, model.dtype)
         start_epoch = int(extra["meta/epoch"][0]) + 1
         best_hr = np.float32(extra["meta/best_hr"][0])
@@ -275,27 +259,28 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
             if improved:
                 best_hr = hr32
                 best_epoch = epoch
-            # Both files' images are cast and checked before either file is
-            # opened, so a refused epoch leaves no file of its own; the
-            # parameters are cast once, straight from the model, and shared.
-            params = _image(best_path if improved else last_path,
-                            {name: p.data for name, p in model.parameters()})
-            last = _image(last_path, {
+            # Both files are cast and checked before either is opened, so a
+            # refused epoch leaves no file of its own; both share the one
+            # ``params`` part, cast once, straight from the model.
+            params = {name: p.data for name, p in model.parameters()}
+            meta = {"meta/epoch": np.array([epoch], dtype=np.float32)}
+            files = {best_path: (params, meta)} if improved else {}
+            files[last_path] = (params, {
                 **optimizer.state_arrays(),
-                "meta/epoch": np.array([epoch], dtype=np.float32),
+                **meta,
                 "meta/best_hr": np.array([best_hr], dtype=np.float32),
                 "meta/best_epoch": np.array([best_epoch], dtype=np.float32),
             })
+            images = check_checkpoints(files)
             if improved:
-                _save_replacing(best_path, params, checkpoint_image(
-                    {"meta/epoch": np.array([epoch], dtype=np.float32)}))
+                commit_checkpoint(best_path, images[best_path])
             log.write(
                 f"{epoch},{stats.l_rec:.10f},{stats.l_comp:.10f},{stats.l_total:.10f},"
                 f"{val.hr:.10f},{val.ndcg:.10f}\n"
             )
             log.flush()
-            _save_replacing(last_path, params, last)
-            del params, last  # no image is kept through the next epoch's training
+            commit_checkpoint(last_path, images[last_path])
+            del images  # no image is kept through the next epoch's training
     print(f"trained {cfg.epochs} epochs; best val HR@{rc.k} {float(best_hr):.6f} "
           f"at epoch {best_epoch}")
     print(f"checkpoints: {best_path} (best), {last_path} (last); log: {log_path}")

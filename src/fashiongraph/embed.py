@@ -8,7 +8,8 @@ shared d-dimensional space.
 
 Checkpoint format: magic ``FGATCKPT``, u32 version, u32 section count,
 then per section a u32 name length, utf-8 name, u32 ndim, ndim x u32 dims,
-and a row-major little-endian f32 payload.
+and a row-major little-endian f32 payload.  Every checkpoint file is
+written by ``check_checkpoints`` and then ``commit_checkpoint``.
 """
 
 from __future__ import annotations
@@ -75,13 +76,6 @@ class ModelState:
     def zero_grads(self):
         for p in self.params.values():
             p.grad = None
-
-    @property
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
         for name, p in self.params.items():
@@ -256,17 +250,37 @@ def write_image(path: str | Path, *images: CheckpointImage) -> None:
                 parts[k] = memoryview(parts[k])[written:]
 
 
-def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays as f32 sections; insertion order is preserved.
+def check_checkpoints(
+    files: dict[str | Path, tuple[dict[str, np.ndarray], ...]],
+) -> dict[str | Path, tuple[CheckpointImage, ...]]:
+    """Each file's parts (dicts of named arrays) as ``checkpoint_image``s for
+    ``commit_checkpoint``; a part that several files share is cast once.
+    Raises ``ValueError`` naming the path and the section, before any file
+    is opened, for a name repeated within a file or a value not finite as f32."""
+    images: dict[int, CheckpointImage] = {}  # by id(part); ``files`` keeps each part alive
+    for path, parts in files.items():
+        names = [name for part in parts for name in part]
+        if len(set(names)) < len(names):  # the reader refuses it too
+            name = next(name for k, name in enumerate(names) if name in names[:k])
+            raise ValueError(f"{path}: duplicate section {name!r}")
+        for part in (part for part in parts if id(part) not in images):
+            try:
+                images[id(part)] = checkpoint_image(part)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    return {path: tuple(images[id(part)] for part in parts) for path, parts in files.items()}
 
-    Raises ``ValueError`` naming ``path`` and the section, before ``path``
-    is opened, when a section's f32 cast holds a NaN or infinite value.
-    """
+
+def commit_checkpoint(path: str | Path, images: tuple[CheckpointImage, ...]) -> None:
+    """Write checked images to ``path.tmp`` and rename it over ``path``, so
+    ``path`` always holds a whole checkpoint: a failed write removes the
+    ``.tmp`` and leaves ``path`` as it was."""
+    tmp = Path(f"{path}.tmp")
     try:
-        image = checkpoint_image(arrays)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    write_image(path, image)
+        write_image(tmp, *images)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -321,8 +335,10 @@ def read_arrays(path: str | Path) -> dict[str, np.ndarray]:
 
 def save_checkpoint(m: ModelState, path: str | Path, extra: dict[str, np.ndarray] | None = None):
     """Write model parameters (plus optional extra sections, e.g. optimizer
-    state) to ``path``."""
-    write_arrays(path, {name: p.data for name, p in m.parameters()} | (extra or {}))
+    state) to ``path``: the one-file case of ``check_checkpoints`` and
+    ``commit_checkpoint``, so an extra named like a parameter is refused."""
+    parts = ({name: p.data for name, p in m.parameters()}, extra or {})
+    commit_checkpoint(path, check_checkpoints({path: parts})[path])
 
 
 def load_checkpoint(m: ModelState, path: str | Path) -> dict[str, np.ndarray]:

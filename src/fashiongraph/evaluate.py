@@ -124,37 +124,35 @@ def _mark(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray, lo: int, hi
     matrix[owner, rows[offsets[lo] : offsets[hi]]] = value
 
 
-def _top_k(negated: np.ndarray, candidate: np.ndarray, k: int | None) -> np.ndarray:
-    """Each row's ``np.argsort(row[candidates], kind="stable")[:k]`` (all of
-    them when ``k`` is None) as a (rows, w) column matrix padded with -1,
-    w = k or the row length, where ``negated`` is +inf off ``candidate``.
-    One ``np.partition`` finds each row's k-th smallest value t, and the row
-    takes its candidates not above t: those at most a finite t, which hold
-    its first k, and NaNs, which sort last; all of them when t is NaN or
-    +inf.  One stable ``lexsort`` by (row, value) orders the taken entries,
-    ties in column order.  Candidacy is a mask because a -inf score also
-    negates to +inf."""
-    w = negated.shape[1] if k is None else k
+def _top_k(negated: np.ndarray, candidate: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``np.argsort(row[candidates], kind="stable")[:k]`` as a
+    (rows, k) column matrix padded with -1, where ``negated`` is +inf off
+    ``candidate``.  Below the row length, one ``np.partition`` finds each
+    row's k-th smallest value t, and the row takes its candidates not above
+    t: those at most a finite t, which hold its first k, and NaNs, which
+    sort last; all of them when t is NaN or +inf.  One stable ``lexsort`` by
+    (row, value) orders the taken entries, ties in column order.  Candidacy
+    is a mask because a -inf score also negates to +inf."""
     taken = candidate
-    if k is not None and k <= negated.shape[1]:
+    if k < negated.shape[1]:
         kth = np.partition(negated, k - 1, axis=1)[:, k - 1, None]
         taken = candidate & ~(negated > kth)  # NaN is never above t
     r, c = np.divmod(np.flatnonzero(taken), negated.shape[1])  # row-major order
     c = c[np.lexsort((negated[r, c], r))]  # a stable sort: ties keep column order
     rank = np.arange(len(r)) - np.searchsorted(r, r)  # position within the row
-    head = rank < w
-    columns = np.full((len(negated), w), -1, dtype=np.int64)
+    head = rank < k
+    columns = np.full((len(negated), k), -1, dtype=np.int64)
     columns[r[head], rank[head]] = c[head]
     return columns
 
 
 def _top_k_blocks(users, prop: PropagationOutput, graph: FashionGraph, split: Splits,
-                  exclude_val: bool, k: int | None):
+                  exclude_val: bool, k: int):
     """Yield, for each RANK_BLOCK-user score block that holds any of
     ``users``, those users in row order, ``_top_k`` of their candidates (the
     outfits outside train, and val with ``exclude_val``) and their rows of
     the block's scores."""
-    if k is not None and k < 1:
+    if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rows = np.sort(graph.rows("user", users))
     user_ids = graph.user_ids[rows].tolist()
@@ -178,12 +176,12 @@ def ranked_outfits(
     graph: FashionGraph,
     split: Splits,
     exclude_val: bool = True,
-    k: int | None = None,
+    *,
+    k: int,
 ):
     """Yield (user, outfit ids best first, their scores) per user, in user
-    order, over the outfits outside train (and val, with ``exclude_val``);
-    only the first ``k`` of them unless ``k`` is None.  A ``k`` below 1
-    raises ``ValueError``.
+    order, over the first ``k`` of the outfits outside train (and val, with
+    ``exclude_val``).  A ``k`` below 1 raises ``ValueError``.
 
     Scores are the user's row of its fixed RANK_BLOCK-user block of
     h_user_star @ h_outfit_star.T; the order is a stable sort over ascending
@@ -201,7 +199,7 @@ def rank_outfits(
 ) -> list[int]:
     """All outfits outside the user's train/val sets, best score first;
     ties broken by ascending outfit id.  An unknown user raises ``KeyError``."""
-    _, ranked, _ = next(ranked_outfits([user], prop, graph, split))
+    _, ranked, _ = next(ranked_outfits([user], prop, graph, split, k=graph.n_outfits))
     return ranked.tolist()
 
 

@@ -347,8 +347,7 @@ class Adam:
         return arrays
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], dtype):
-        if "opt/t" in arrays:
-            self.t = int(arrays["opt/t"][0])
+        self.t = int(arrays["opt/t"][0])
         for key, value in arrays.items():
             if key.startswith("opt/m/"):
                 self.m[key[len("opt/m/"):]] = value.astype(dtype)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from fashiongraph.cli import main, make_run_config, parse_config_file, prepare
-from fashiongraph.embed import CHECKPOINT_MAGIC, save_checkpoint, write_arrays
+from fashiongraph.embed import (
+    CHECKPOINT_MAGIC,
+    check_checkpoints,
+    commit_checkpoint,
+    save_checkpoint,
+)
 from fashiongraph.train import make_model
 
 SMALL_CFG = (
@@ -113,6 +118,6 @@ def test_writer_refuses_a_section_not_finite_as_float32(tmp_path, value):
     target = tmp_path / "bad.ckpt"
     arrays = {"ok": np.ones(3), "bad": np.array([[0.0, value]]), "after": np.zeros(2)}
     with pytest.raises(ValueError, match="'bad' holds a non-finite value") as info:
-        write_arrays(target, arrays)
+        commit_checkpoint(target, check_checkpoints({target: (arrays,)})[target])
     assert str(target) in str(info.value)
     assert not list(tmp_path.iterdir())  # neither the file nor a temporary one

@@ -1,4 +1,5 @@
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from fashiongraph.dataio import (
     write_dataset,
     write_features,
 )
-from fashiongraph.embed import read_arrays
+from fashiongraph.embed import check_checkpoints, commit_checkpoint, read_arrays
 from fashiongraph.graph import build_fashion_graph
 
 from conftest import tiny_dataset
@@ -235,6 +236,36 @@ class TestTrain:
         path, _ = write_cfg(tmp_path)
         assert main(["train", "--config", str(path), "--resume"]) == 1
 
+    def _resume_fails_naming(self, path, out_dir, capsys, missing):
+        # A log line past last.ckpt's epoch, as a crash before its commit
+        # leaves, shows whether the resume cut the log.
+        log = out_dir / "train_log.csv"
+        log.write_bytes(log.read_bytes() + b"3,0,0,0,0,0\n")
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--resume", "--epochs", "3"]) == 1
+        last = out_dir / "last.ckpt"
+        assert capsys.readouterr().err == (
+            f"error: {last}: checkpoint is missing section '{missing}'\n")
+        assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("missing", ["meta/epoch", "meta/best_hr", "meta/best_epoch", "opt/t"])
+    def test_resume_without_a_bookkeeping_section_exits_one_naming_the_file(
+            self, tmp_path, capsys, missing):
+        path, out_dir = write_cfg(tmp_path, epochs=2)
+        assert main(["train", "--config", str(path)]) == 0
+        last = out_dir / "last.ckpt"
+        arrays = read_arrays(last)
+        del arrays[missing]
+        commit_checkpoint(last, check_checkpoints({last: (arrays,)})[last])
+        self._resume_fails_naming(path, out_dir, capsys, missing)
+
+    def test_resume_from_a_copy_of_best_exits_one_naming_the_file(self, tmp_path, capsys):
+        path, out_dir = write_cfg(tmp_path, epochs=2)
+        assert main(["train", "--config", str(path)]) == 0
+        shutil.copyfile(out_dir / "best.ckpt", out_dir / "last.ckpt")
+        self._resume_fails_naming(path, out_dir, capsys, "meta/best_hr")
+
 
 class TestEvaluateCommand:
     def _trained(self, tmp_path):
@@ -309,6 +340,19 @@ class TestRecommendAndFltb:
         assert len(rows) == 5
         scores = [float(r.split("\t")[2]) for r in rows]
         assert scores == sorted(scores, reverse=True)
+
+    def test_recommend_k_above_the_outfit_count_lists_every_candidate(self, tmp_path, capsys):
+        path, out_dir = self._trained(tmp_path)
+        ds, splits, _ = prepare(make_run_config(parse_config_file(path), {}))
+        user = ds.users[0]
+        capsys.readouterr()  # drop the training summary
+        assert main([
+            "recommend", "--config", str(path),
+            "--checkpoint", str(out_dir / "best.ckpt"), "--user", str(user), "--k", "1000",
+        ]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        candidates = set(ds.outfits) - splits.train[user] - splits.val.get(user, frozenset())
+        assert sorted(int(r.split("\t")[1]) for r in rows) == sorted(candidates)
 
     def test_recommend_excludes_training_outfits(self, tmp_path, capsys):
         path, out_dir = self._trained(tmp_path)

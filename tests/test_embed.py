@@ -12,10 +12,12 @@ from fashiongraph.embed import (
     init_model,
     load_checkpoint,
     read_arrays,
+    check_checkpoints,
+    commit_checkpoint,
     save_checkpoint,
-    write_arrays,
 )
 import fashiongraph.autodiff as ad
+import fashiongraph.embed as embed
 
 
 SMALL = ModelDims(d=8, d_v=6, d_t=4, d_h=5, heads=2, r_views=3, view_hidden=4)
@@ -37,6 +39,16 @@ def fuse_one(m, x_v, x_t):
 
 def flat(arrays):
     return np.concatenate([a.ravel() for a in arrays.values()])
+
+
+def arrays_of(m):
+    """A copy of each parameter's values, by name, in model order."""
+    return {name: p.data.copy() for name, p in m.parameters()}
+
+
+def write_checked(path, arrays):
+    """Write ``arrays`` as one checkpoint through the one write path."""
+    commit_checkpoint(path, check_checkpoints({path: (arrays,)})[path])
 
 
 def straight_line_fuse(m, x_v, x_t):
@@ -76,17 +88,16 @@ class TestInit:
             + 3 * (H * d * d + H * 2 * d + d * d)  # attention levels
             + 2 * (R * v + v * d)  # view attention + compatibility maps
         )
-        assert m.n_parameters == expected
-        assert flat(m.to_arrays()).shape == (expected,)
+        assert flat(arrays_of(m)).shape == (expected,)
 
     def test_flat_round_trip(self):
         m = small_model()
-        arrays = m.to_arrays()
+        arrays = arrays_of(m)
         m2 = small_model(seed=99)
-        assert not np.array_equal(flat(m2.to_arrays()), flat(arrays))
+        assert not np.array_equal(flat(arrays_of(m2)), flat(arrays))
         m2.load_arrays(arrays)
-        assert list(m2.to_arrays()) == list(arrays)
-        assert np.array_equal(flat(m2.to_arrays()), flat(arrays))
+        assert list(arrays_of(m2)) == list(arrays)
+        assert np.array_equal(flat(arrays_of(m2)), flat(arrays))
 
     def test_no_parameter_aliasing(self):
         m = small_model()
@@ -215,7 +226,7 @@ class TestCheckpoint:
     def test_named_sections_payload(self, tmp_path):
         path = tmp_path / "e.ckpt"
         arrays = {"x": np.arange(6, dtype=np.float32).reshape(2, 3), "y": np.zeros(1, np.float32)}
-        write_arrays(path, arrays)
+        write_checked(path, arrays)
         back = read_arrays(path)
         assert list(back) == ["x", "y"]
         assert np.array_equal(back["x"], arrays["x"])
@@ -253,7 +264,7 @@ class TestWriter:
     def test_bytes_equal_a_struct_reference(self, tmp_path):
         arrays = varied_sections()
         path = tmp_path / "ref.ckpt"
-        write_arrays(path, arrays)
+        write_checked(path, arrays)
         assert path.read_bytes() == reference_checkpoint(arrays)
         back = read_arrays(path)
         assert list(back) == list(arrays)
@@ -262,7 +273,7 @@ class TestWriter:
             assert np.array_equal(back[name], arr.astype(np.float32)), name
 
     def test_no_sections(self, tmp_path):
-        write_arrays(tmp_path / "none.ckpt", {})
+        write_checked(tmp_path / "none.ckpt", {})
         assert (tmp_path / "none.ckpt").read_bytes() == reference_checkpoint({})
         assert read_arrays(tmp_path / "none.ckpt") == {}
 
@@ -270,7 +281,7 @@ class TestWriter:
         calls = []
         real = os.writev
         monkeypatch.setattr(os, "writev", lambda fd, parts: calls.append(len(parts)) or real(fd, parts))
-        write_arrays(tmp_path / "one.ckpt", varied_sections())
+        write_checked(tmp_path / "one.ckpt", varied_sections())
         assert calls == [2 + 2 * len(varied_sections())]
 
     def test_short_writes_still_give_the_whole_file(self, tmp_path, monkeypatch):
@@ -278,19 +289,69 @@ class TestWriter:
         # Take at most 5 bytes of the first part per call.
         monkeypatch.setattr(os, "writev", lambda fd, parts: real(fd, [memoryview(parts[0])[:5]]))
         arrays = varied_sections()
-        write_arrays(tmp_path / "short.ckpt", arrays)
+        write_checked(tmp_path / "short.ckpt", arrays)
         assert (tmp_path / "short.ckpt").read_bytes() == reference_checkpoint(arrays)
 
     def test_without_writev(self, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "writev")  # as on Windows
         arrays = varied_sections()
-        write_arrays(tmp_path / "plain.ckpt", arrays)
+        write_checked(tmp_path / "plain.ckpt", arrays)
         assert (tmp_path / "plain.ckpt").read_bytes() == reference_checkpoint(arrays)
 
     def test_more_sections_than_one_call_takes(self, tmp_path):
         arrays = {f"s{k}": np.full(k % 3, k, dtype=np.float32) for k in range(700)}
-        write_arrays(tmp_path / "many.ckpt", arrays)
+        write_checked(tmp_path / "many.ckpt", arrays)
         assert (tmp_path / "many.ckpt").read_bytes() == reference_checkpoint(arrays)
+
+
+class TestOneWritePath:
+    """``check_checkpoints`` casts and checks every file before any is
+    opened; ``commit_checkpoint`` replaces a file only by a whole one."""
+
+    def test_a_write_dying_part_way_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_model(seed=1), path)
+        before = path.read_bytes()
+        real = os.writev
+
+        def dying_writev(fd, parts):
+            real(fd, [memoryview(parts[0])[:5]])
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(os, "writev", dying_writev)
+        with pytest.raises(OSError, match="disk went away"):
+            save_checkpoint(small_model(seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_extra_naming_a_parameter_is_refused_before_any_file_opens(
+            self, tmp_path, monkeypatch):
+        opened = []
+        monkeypatch.setattr(embed, "open", lambda *a, **k: opened.append(a), raising=False)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="duplicate section 'user_table'") as info:
+            save_checkpoint(small_model(), path, extra={"user_table": np.zeros((3, 8))})
+        assert str(path) in str(info.value)
+        assert not opened and not list(tmp_path.iterdir())
+
+    def test_a_shared_part_is_cast_once(self, tmp_path, monkeypatch):
+        casts = []
+        real = embed.checkpoint_image
+        monkeypatch.setattr(embed, "checkpoint_image", lambda arrays: casts.append(1) or real(arrays))
+        shared, a, b = {"w": np.ones(3)}, {"x": np.zeros(1)}, {"x": np.ones(2)}
+        images = check_checkpoints({tmp_path / "a": (shared, a), tmp_path / "b": (shared, b)})
+        assert len(casts) == 3
+        assert images[tmp_path / "a"][0] is images[tmp_path / "b"][0]
+        for name, part in (("a", a), ("b", b)):
+            commit_checkpoint(tmp_path / name, images[tmp_path / name])
+            assert (tmp_path / name).read_bytes() == reference_checkpoint(shared | part)
+
+    def test_a_refusal_names_the_file_that_holds_the_section(self, tmp_path):
+        shared = {"w": np.ones(3)}
+        files = {tmp_path / "a": (shared,), tmp_path / "b": (shared, {"bad": np.array([np.nan])})}
+        with pytest.raises(ValueError, match="'bad' holds a non-finite value") as info:
+            check_checkpoints(files)
+        assert str(info.value).startswith(f"{tmp_path / 'b'}: ")
 
 
 def test_a_repeated_section_name_is_refused(tmp_path):

@@ -91,8 +91,8 @@ def test_block_ranking_equals_per_pair_order(seed):
         p = dataclasses.replace(prop, h_user_star=h_u, h_outfit_star=h_o)
         users = [int(u) for u in graph.user_ids]
         for exclude_val in (True, False):
-            got = {u: r.tolist() for u, r, _ in
-                   E.ranked_outfits(users, p, graph, splits, exclude_val=exclude_val)}
+            got = {u: r.tolist() for u, r, _ in E.ranked_outfits(
+                users, p, graph, splits, exclude_val=exclude_val, k=graph.n_outfits)}
             assert list(got) == users
             for u in users:
                 assert got[u] == reference_ranking(u, p, graph, splits, exclude_val)
@@ -120,8 +120,8 @@ def test_top_k_is_the_head_of_the_full_ranking(seed):
     for h_u, h_o in ((prop.h_user_star, prop.h_outfit_star), (h_user, h_outfit)):
         p = dataclasses.replace(prop, h_user_star=h_u, h_outfit_star=h_o)
         for exclude_val in (True, False):
-            full = {u: (r, s) for u, r, s in
-                    E.ranked_outfits(users, p, graph, splits, exclude_val=exclude_val)}
+            full = {u: (r, s) for u, r, s in E.ranked_outfits(
+                users, p, graph, splits, exclude_val=exclude_val, k=graph.n_outfits)}
             assert len(full[crowded][0]) < 10
             longest = max(len(r) for r, _ in full.values())
             for k in (1, 10, longest, longest + 3):
@@ -171,7 +171,7 @@ def test_block_top_k_is_the_stable_sort_head_with_non_finite_scores(monkeypatch,
     users = [int(u) for u in graph.user_ids]
     n = len(graph.outfit_ids)
     for exclude_val in (True, False):
-        for k in (1, 4, 10, n, n + 3, None):
+        for k in (1, 4, 10, n, n + 3):
             got = list(E.ranked_outfits(users, prop, graph, splits, exclude_val, k=k))
             assert [u for u, _, _ in got] == users
             for row, (u, ranked, scores) in enumerate(got):
@@ -218,9 +218,9 @@ def test_top_k_with_nan_scores_is_the_head_of_the_stable_sort():
         negated[special] = rng.choice(values, size=np.count_nonzero(special))
         candidate = rng.random(shape) < rng.choice([0.3, 0.8, 1.0])
         negated[~candidate] = np.inf
-        for k in [*range(1, shape[1] + 3), None]:
+        for k in range(1, shape[1] + 3):
             got = E._top_k(negated, candidate, k)
-            assert got.shape == (shape[0], shape[1] if k is None else k)
+            assert got.shape == (shape[0], k)
             for row, columns in zip(range(shape[0]), got):
                 candidates = np.flatnonzero(candidate[row])
                 expected = candidates[np.argsort(negated[row, candidates], kind="stable")[:k]]

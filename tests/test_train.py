@@ -30,7 +30,7 @@ from conftest import make_item
 
 
 def flat_parameters(m):
-    return np.concatenate([a.ravel() for a in m.to_arrays().values()])
+    return np.concatenate([p.data.ravel() for _, p in m.parameters()])
 
 
 class TestBprLoss:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fashiongraph import cli, train
+from fashiongraph import cli, embed, train
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.rng import substream
@@ -166,7 +166,7 @@ def test_crash_while_checkpointing_resumes_to_the_uninterrupted_bytes(
     path_a, out_a = write_cfg(tmp_path, "a")
     assert cli.main(["train", "--config", str(path_a)]) == 0
 
-    real_write = cli.write_image
+    real_write = embed.write_image
     calls = []
 
     def dying_write(path, *images):
@@ -178,11 +178,11 @@ def test_crash_while_checkpointing_resumes_to_the_uninterrupted_bytes(
         return real_write(path, *images)
 
     path_b, out_b = write_cfg(tmp_path, "b")
-    monkeypatch.setattr(cli, "write_image", dying_write)
+    monkeypatch.setattr(embed, "write_image", dying_write)
     assert cli.main(["train", "--config", str(path_b)]) == 2
     assert "disk went away" in capsys.readouterr().err
     assert not list(out_b.glob("*.tmp"))
-    monkeypatch.setattr(cli, "write_image", real_write)
+    monkeypatch.setattr(embed, "write_image", real_write)
     assert cli.main(["train", "--config", str(path_b), "--resume"]) == 0
     for name in ("train_log.csv", "last.ckpt", "best.ckpt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
