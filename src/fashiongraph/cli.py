@@ -30,7 +30,7 @@ from .dataio import (
     write_features,
 )
 from .embed import ModelState, check_checkpoints, commit_checkpoint, load_checkpoint
-from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits, write_report
+from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits
 from .graph import FashionGraph, build_fashion_graph
 from .propagate import forward
 from .train import Adam, TrainConfig, TrainingDivergedError, make_model, train_epoch
@@ -191,11 +191,9 @@ def cmd_ingest(rc: RunConfig) -> int:
     print(f"graph edges: {graph.n_edges}")
     print(f"item-item edges: {len(graph.levels['item_item'].tgt)}")
     print("category histogram (items per category):")
-    counts = {name: 0 for name in ds.categories}
-    for item in ds.items.values():
-        counts[ds.categories[item.category]] += 1
-    for name in ds.categories:
-        print(f"  {name}: {counts[name]}")
+    counts = np.bincount(graph.item_categories, minlength=len(ds.categories))
+    for name, count in zip(ds.categories, counts.tolist()):
+        print(f"  {name}: {count}")
     # co(c_i, c_j) = co(c_j, c_i): one entry per unordered pair
     pair_counts = {(min(p), max(p)): n for p, n in graph.category_graph.co_counts.items()}
     top = sorted(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
@@ -236,7 +234,8 @@ def cmd_train(rc: RunConfig, resume: bool = False) -> int:
         if not last_path.exists():
             raise FileNotFoundError(f"cannot resume: {last_path} does not exist")
         extra = load_checkpoint(model, last_path)
-        for name in ("meta/epoch", "meta/best_hr", "meta/best_epoch", "opt/t"):
+        moments = [f"opt/{k}/{name}" for name, _ in model.parameters() for k in "mv"]
+        for name in ("meta/epoch", "meta/best_hr", "meta/best_epoch", "opt/t", *moments):
             if name not in extra:
                 raise ValueError(f"{last_path}: checkpoint is missing section {name!r}")
         optimizer.load_state_arrays(extra, model.dtype)
@@ -292,7 +291,7 @@ def cmd_evaluate(rc: RunConfig, checkpoint: str, out: str | None, per_user: bool
     report = evaluate(model, graph, ds, splits, seed=rc.seed, k=rc.k, on="test")
     text = format_report(report, per_user=per_user)
     if out:
-        write_report(report, out, per_user=per_user)
+        Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +30,7 @@ from .embed import ModelState
 from .graph import FashionGraph
 from .propagate import PropagationOutput, forward
 from .rng import substream
-from .score import list_rows, outfit_rows, score_rows
+from .score import outfit_rows, score_rows
 from .score import score_items  # noqa: F401 (perfbench reads E.score_items)
 from .train import category_template_negative
 
@@ -111,10 +109,9 @@ def _user_outfit_rows(graph: FashionGraph, parts, user_ids) -> tuple[np.ndarray,
     """Each user's outfits in ``parts`` (maps of user id to outfit ids) as
     outfit rows from one lookup, concatenated in user order, and the offsets
     of each user's run."""
-    groups = [part.get(u, ()) for u in user_ids for part in parts]
-    counts = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    rows, counts = graph.list_rows("outfit", [part.get(u, ()) for u in user_ids for part in parts])
     offsets = np.concatenate([[0], np.cumsum(counts.reshape(len(user_ids), len(parts)).sum(1))])
-    return graph.rows("outfit", list(chain.from_iterable(groups))), offsets
+    return rows, offsets
 
 
 def _mark(matrix: np.ndarray, rows: np.ndarray, offsets: np.ndarray, lo: int, hi: int, value):
@@ -243,12 +240,12 @@ def draw_fltb_trials(
     rows, lengths = outfit_rows(graph, outfits)
     rng = substream(seed, "fltb")
     masked = rng.integers(lengths)
-    true_items = graph.item_ids[rows[np.cumsum(lengths) - lengths + masked]]
-    categories = np.array([ds.items[i].category for i in true_items.tolist()], dtype=np.int64)
+    true_rows = rows[np.cumsum(lengths) - lengths + masked]
+    true_items, categories = graph.item_ids[true_rows], graph.item_categories[true_rows]
 
     # The pool sorted by (category, id): category c's items are one run.
     pool = np.array(sorted(split.compat_negative_pool), dtype=np.uint64)
-    pool_categories = np.array([ds.items[i].category for i in pool.tolist()], dtype=np.int64)
+    pool_categories = graph.item_categories[graph.rows("item", pool)]
     by_category = pool[np.argsort(pool_categories, kind="stable")]
     sizes = np.bincount(pool_categories, minlength=len(ds.categories))
     starts = np.cumsum(sizes) - sizes
@@ -322,7 +319,7 @@ def compat_auc(
     if not negatives:
         return None
     pos_rows, pos_lengths = outfit_rows(prop.graph, outfit_ids)
-    neg_rows, neg_lengths = list_rows(prop.graph, negatives)
+    neg_rows, neg_lengths = prop.graph.list_rows("item", negatives)
     scores = score_rows(np.concatenate([pos_rows, neg_rows]),
                         np.concatenate([pos_lengths, neg_lengths]), prop, m)
     return auc(scores[: len(outfit_ids)], scores[len(outfit_ids) :])
@@ -417,7 +414,3 @@ def format_report(report: RankingReport, per_user: bool = False) -> str:
                 f"{r.user},{r.hr:.10f},{r.recall:.10f},{r.precision:.10f},{r.ndcg:.10f}"
             )
     return "\n".join(lines) + "\n"
-
-
-def write_report(report: RankingReport, path: str | Path, per_user: bool = False) -> None:
-    Path(path).write_text(format_report(report, per_user=per_user), encoding="utf-8")

@@ -12,8 +12,9 @@ first category.
 
 Ids are unsigned 64-bit throughout, as the files store them.  The graph
 alone maps an id to its row in the user, outfit and item tables:
-``FashionGraph.rows`` finds it in the sorted id array of its kind, and
-every level's edges hold rows, never ids.
+``FashionGraph.rows`` finds it in the sorted id array of its kind,
+``FashionGraph.list_rows`` flattens lists of ids through it, and every
+level's edges hold rows, never ids.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class FashionGraph:
     category_graph: CategoryGraph
     # "item_item", "item_outfit", "outfit_user" -> that level's edges, as rows
     levels: dict[str, LevelEdges] = field(repr=False)
+    item_categories: np.ndarray = field(repr=False)  # int64 category of each item row
 
     def rows(self, kind: str, ids) -> np.ndarray:
         """The int64 rows of ``ids`` (Python ints or an integer array) in
@@ -109,6 +111,12 @@ class FashionGraph:
         if not known.all():
             raise KeyError(f"unknown {kind} id {ids[~known][0]}")
         return found
+
+    def list_rows(self, kind: str, id_lists) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of lists of ``kind`` ids, flat and list after list, and
+        one int64 length per list, through ``rows`` and its ``KeyError``."""
+        lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
+        return self.rows(kind, list(chain.from_iterable(id_lists))), lengths
 
     # id -> row dicts, built on first use; acceptance criterion 4 and the
     # benchmark's own checks read them.
@@ -174,27 +182,20 @@ def category_cooccurrence_weights(ds: Dataset) -> CategoryGraph:
     return CategoryGraph(weights=weights, co_counts=co)
 
 
-def _member_rows(members: list[list[int]],
-                 item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each outfit's size and the item rows of all members, outfit after
-    outfit in the given order and each outfit's members in stored order."""
-    sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
-    ids = np.fromiter(chain.from_iterable(members), dtype=np.uint64, count=int(sizes.sum()))
-    return sizes, np.searchsorted(item_ids, ids)
-
-
-def build_item_item_edges(ds: Dataset, cg: CategoryGraph, item_ids: np.ndarray) -> LevelEdges:
+def build_item_item_edges(cg: CategoryGraph, item_categories: np.ndarray,
+                          item_outfit: LevelEdges) -> LevelEdges:
     """The item-item level: directed co-outfit neighborhoods whose prior is
-    the category weight w(cat(target), cat(source)); ``item_ids`` is the
-    graph's sorted uint64 item id array.
+    the category weight w(cat(target), cat(source)); ``item_categories``
+    holds each item row's category, and the members of each outfit are one
+    run of the ``item_outfit`` level's sources.
 
     An item's neighborhood is the union of its co-outfit items across every
     outfit containing it; a pair co-occurring in several outfits yields one
     edge.  Edges are sorted by (target, source) so summation order is fixed.
     """
-    n = len(item_ids)
-    sizes, rows = _member_rows(list(ds.outfits.values()), item_ids)
-    starts = np.cumsum(sizes) - sizes
+    n = len(item_categories)
+    rows, starts = item_outfit.src, item_outfit.by_tgt.starts
+    sizes = np.diff(starts, append=len(rows))
     # Each edge as the code tgt * n + src: rows lie below n, so a code fits
     # in int64 for fewer than 3 * 10^9 items, and codes sort as (tgt, src).
     codes = [np.empty(0, dtype=np.int64)]
@@ -208,11 +209,11 @@ def build_item_item_edges(ds: Dataset, cg: CategoryGraph, item_ids: np.ndarray) 
     # a 3,000-item graph, and its first call imports numpy.ma (about 1 MB).
     codes = np.sort(np.concatenate(codes))
     tgt, src = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n)
-    table = np.zeros((len(ds.categories), len(ds.categories)))
+    n_categories = int(item_categories.max()) + 1
+    table = np.zeros((n_categories, n_categories))
     for pair, w in cg.weights.items():
         table[pair] = w
-    cats = np.array([ds.items[i].category for i in item_ids.tolist()], dtype=np.int64)
-    return LevelEdges(tgt, src, n, prior=table[cats[tgt], cats[src]])
+    return LevelEdges(tgt, src, n, prior=table[item_categories[tgt], item_categories[src]])
 
 
 def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGraph:
@@ -230,9 +231,16 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
 
     # Rows keep id order: the outfit-item edges, outfit by outfit in id
     # order, come out target-sorted, and the user-outfit edges sorted by
-    # (user row, outfit row) are in (user id, outfit id) order.
-    sizes, oi_src = _member_rows([ds.outfits[o] for o in outfit_ids.tolist()], item_ids)
-    oi_tgt = np.repeat(np.arange(len(outfit_ids)), sizes)
+    # (user row, outfit row) are in (user id, outfit id) order.  Members are
+    # flattened once; the item-item level reads them off the item-outfit one.
+    members = [ds.outfits[o] for o in outfit_ids.tolist()]
+    sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    oi_src = np.searchsorted(item_ids, np.fromiter(
+        chain.from_iterable(members), dtype=np.uint64, count=int(sizes.sum())))
+    item_outfit = LevelEdges(np.repeat(np.arange(len(outfit_ids)), sizes), oi_src,
+                             len(outfit_ids))
+    item_categories = np.fromiter((ds.items[i].category for i in item_ids.tolist()),
+                                  dtype=np.int64, count=len(item_ids))
     if splits is None:
         users, outfits = np.fromiter(chain.from_iterable(ds.interactions), dtype=np.uint64,
                                      count=2 * len(ds.interactions)).reshape(-1, 2).T
@@ -245,8 +253,8 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
     by_pair = np.lexsort((uo_src, uo_tgt))
     cg = category_cooccurrence_weights(ds)
     levels = {
-        "item_item": build_item_item_edges(ds, cg, item_ids),
-        "item_outfit": LevelEdges(oi_tgt, oi_src, len(outfit_ids)),
+        "item_item": build_item_item_edges(cg, item_categories, item_outfit),
+        "item_outfit": item_outfit,
         "outfit_user": LevelEdges(uo_tgt[by_pair], uo_src[by_pair], len(user_ids)),
     }
     return FashionGraph(
@@ -255,4 +263,5 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
         item_ids=item_ids,
         category_graph=cg,
         levels=levels,
+        item_categories=item_categories,
     )

@@ -20,8 +20,6 @@ regardless of R.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from . import autodiff as ad
@@ -56,12 +54,6 @@ def outfit_compat_score(A: np.ndarray, C: np.ndarray) -> float:
     return float(view_scores(A, C).mean())
 
 
-def list_rows(graph: FashionGraph, item_lists) -> tuple[np.ndarray, np.ndarray]:
-    """Item rows of lists of item ids, as flat rows and one length per list."""
-    lengths = np.fromiter(map(len, item_lists), dtype=np.int64, count=len(item_lists))
-    return graph.rows("item", list(chain.from_iterable(item_lists))), lengths
-
-
 def outfit_rows(graph: FashionGraph, outfit_ids) -> tuple[np.ndarray, np.ndarray]:
     """Item rows of stored outfits, in outfit order, as flat rows and one
     length per outfit: runs of the item-outfit level's target-sorted edges."""
@@ -81,14 +73,9 @@ def score_rows(rows: np.ndarray, lengths: np.ndarray, prop: PropagationOutput,
         return rview_scores_tensor(m, Tensor(prop.h_item_star), rows, lengths).data
 
 
-def score_item_lists(item_lists, prop: PropagationOutput, m: ModelState) -> np.ndarray:
-    """Compatibility scores of many item combinations."""
-    return score_rows(*list_rows(prop.graph, item_lists), prop, m)
-
-
 def score_items(item_ids, prop: PropagationOutput, m: ModelState) -> float:
     """Compatibility score of an arbitrary item combination."""
-    return float(score_item_lists([item_ids], prop, m)[0])
+    return float(score_rows(*prop.graph.list_rows("item", [item_ids]), prop, m)[0])
 
 
 def view_maps(m: ModelState, h_items: Tensor) -> tuple[Tensor, Tensor]:

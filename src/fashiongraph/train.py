@@ -24,12 +24,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dataio import Dataset, Splits, category_pools  # noqa: F401 (re-exported)
+from .dataio import Dataset, Splits
 from .embed import ModelDims, ModelState, init_model
 from .graph import FashionGraph
 from .propagate import forward_tensors
 from .rng import substream
-from .score import list_rows, outfit_rows, rview_scores_tensor
+from .score import outfit_rows, rview_scores_tensor
 
 
 class TrainingDivergedError(RuntimeError):
@@ -68,10 +68,6 @@ class TrainConfig:
                 raise ValueError(f"{key} must lie in [0, 1), got {values[key]}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
-
-    @property
-    def np_dtype(self):
-        return np.dtype(self.dtype)
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ def make_model(graph: FashionGraph, ds: Dataset, cfg: TrainConfig) -> ModelState
         len(ds.categories),
         dims,
         cfg.seed,
-        dtype=cfg.np_dtype,
+        dtype=cfg.dtype,
     )
 
 
@@ -268,7 +264,7 @@ def batch_loss(
     if batch.n_comp:
         # Positives and negatives in one call, so they share the per-item maps.
         pos_rows, pos_lengths = outfit_rows(graph, batch.comp_pos)
-        neg_rows, neg_lengths = list_rows(graph, batch.comp_neg)
+        neg_rows, neg_lengths = graph.list_rows("item", batch.comp_neg)
         scores = rview_scores_tensor(
             m, ft.h_item_star, np.concatenate([pos_rows, neg_rows]),
             np.concatenate([pos_lengths, neg_lengths]),
@@ -313,17 +309,19 @@ class Adam:
         ``m``, ``v`` and ``p.data`` keep their buffers, and each value is
         bit for bit that of the textbook expressions
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-        p = p - lr (m / bc1) / (sqrt(v / bc2) + eps)."""
+        p = p - lr (m / bc1) / (sqrt(v / bc2) + eps).  Every parameter's
+        moments exist from the first step on, zero while it has no gradient,
+        so every checkpoint holds them all."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, p in model.parameters():
-            if p.grad is None:
-                continue
-            g = np.asarray(p.grad)
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
+            if p.grad is None:
+                continue
+            g = np.asarray(p.grad)
             m, v = self.m[name], self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g

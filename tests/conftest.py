@@ -6,6 +6,7 @@ from fashiongraph.autodiff import Tensor
 from fashiongraph.dataio import Dataset, Item, SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import _propagate_level_tensor
+from fashiongraph.score import score_rows
 from fashiongraph.train import TrainConfig, make_model
 
 
@@ -18,6 +19,11 @@ def propagate_level(m, level, h_tgt, h_src, edges):
         s = t if h_src is h_tgt else Tensor(h_src)
         out, alpha = _propagate_level_tensor(m, level, t, s, edges)
     return out.data, alpha.data
+
+
+def score_lists(lists, prop, m):
+    """Compatibility scores of lists of item ids, in one ``score_rows`` call."""
+    return score_rows(*prop.graph.list_rows("item", lists), prop, m)
 
 
 def make_item(category: int, d_v: int = 6, d_t: int = 4, seed: int = 0) -> Item:

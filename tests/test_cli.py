@@ -123,6 +123,18 @@ class TestIngest:
         # the largest level, printed right after the user-outfit + outfit-item count
         assert f"graph edges: {graph.n_edges}\nitem-item edges: {n_item_item}\n" in out
 
+    def test_category_histogram_counts_every_item_once(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path)
+        assert main(["ingest", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        rc = make_run_config(parse_config_file(path), {})
+        ds = generate_synthetic(rc.synthetic_config(), rc.seed)
+        counts = [0] * len(ds.categories)
+        for item in ds.items.values():
+            counts[item.category] += 1
+        lines = "".join(f"  {name}: {n}\n" for name, n in zip(ds.categories, counts))
+        assert f"category histogram (items per category):\n{lines}top-5" in out
+
     def test_bad_training_key_exits_one(self, tmp_path, capsys):
         path, _ = write_cfg(tmp_path, epochs=0)
         assert main(["ingest", "--config", str(path)]) == 1
@@ -249,7 +261,8 @@ class TestTrain:
             f"error: {last}: checkpoint is missing section '{missing}'\n")
         assert log.read_bytes() == before
 
-    @pytest.mark.parametrize("missing", ["meta/epoch", "meta/best_hr", "meta/best_epoch", "opt/t"])
+    @pytest.mark.parametrize("missing", ["meta/epoch", "meta/best_hr", "meta/best_epoch", "opt/t",
+                                         "opt/m/user_table", "opt/v/user_table"])
     def test_resume_without_a_bookkeeping_section_exits_one_naming_the_file(
             self, tmp_path, capsys, missing):
         path, out_dir = write_cfg(tmp_path, epochs=2)

@@ -11,18 +11,20 @@ import pytest
 import fashiongraph
 import fashiongraph.dataio as dataio
 import fashiongraph.evaluate as E
-from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
+from fashiongraph.dataio import (
+    SyntheticConfig,
+    category_pools,
+    generate_synthetic,
+    split_interactions,
+)
 from fashiongraph.embed import ModelDims
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import forward
 from fashiongraph.rng import substream
-from fashiongraph.score import order_candidates, rec_score, score_item_lists, score_items
-from fashiongraph.train import (
-    TrainConfig,
-    category_pools,
-    category_template_negative,
-    make_model,
-)
+from fashiongraph.score import order_candidates, rec_score, score_items
+from fashiongraph.train import TrainConfig, category_template_negative, make_model
+
+from conftest import score_lists
 
 
 def world(seed, dtype="float64", **synth):
@@ -298,7 +300,7 @@ def test_batched_scores_match_single_outfit_scores(dtype):
     pos, neg = auc_lists(ds, prop, seed=5)
     fltb_lists = [items for lists, _ in fltb_trials(ds, splits, graph, seed=5) for items in lists]
     for lists in (pos, neg, fltb_lists):
-        batched = score_item_lists(lists, prop, m)
+        batched = score_lists(lists, prop, m)
         single = np.array([score_items(items, prop, m) for items in lists])
         rows = [[graph.item_index[i] for i in items] for items in lists]
         np.testing.assert_allclose(batched, single, rtol=0, atol=1e-6)
@@ -364,8 +366,8 @@ def test_template_negatives_pass_through_the_module_global(monkeypatch):
     got = E.compat_auc(ds, prop, m, seed=11)
     assert seen == sorted(ds.outfits)
     assert negatives
-    pos = score_item_lists([ds.outfits[o] for o in sorted(ds.outfits)], prop, m)
-    assert got == E.auc(pos, score_item_lists(negatives, prop, m))
+    pos = score_lists([ds.outfits[o] for o in sorted(ds.outfits)], prop, m)
+    assert got == E.auc(pos, score_lists(negatives, prop, m))
 
 def test_item_features_stacked_once(monkeypatch):
     ds, splits, graph, m, _ = world(8)

@@ -13,7 +13,6 @@ from fashiongraph.evaluate import (
     format_report,
     rank_outfits,
     topk_metrics,
-    write_report,
 )
 from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import PropagationOutput, forward
@@ -229,12 +228,10 @@ class TestEvaluate:
             baseline.append(1.0 - math.comb(cand - rel, 10) / math.comb(cand, 10))
         assert abs(np.mean(hrs) - np.mean(baseline)) < 0.2
 
-    def test_report_file_format(self, tmp_path):
+    def test_report_file_format(self):
         w = SmallWorld(seed=7)
         report = evaluate(w.model, w.graph, w.ds, w.splits, seed=1)
-        path = tmp_path / "report.txt"
-        write_report(report, path, per_user=True)
-        text = path.read_text()
+        text = format_report(report, per_user=True)
         assert "[metrics]" in text
         assert f"hr@{report.k}=" in text
         assert "auc=" in text and "fltb_accuracy=" in text

@@ -178,9 +178,9 @@ class TestRows:
 
     BIG = 2**60  # uint64 ids that float64 cannot tell apart: BIG + 1 == BIG
 
-    def graph(self):
+    def graph(self, big=BIG):
         ds = tiny_dataset()
-        renamed = {0: self.BIG, 1: self.BIG + 1}
+        renamed = {0: big, 1: big + 1}
         return build_fashion_graph(Dataset(
             users=ds.users,
             outfits={o: [renamed.get(i, i) for i in m] for o, m in ds.outfits.items()},
@@ -199,6 +199,8 @@ class TestRows:
         graph = self.graph()
         with pytest.raises(KeyError, match=f"^'unknown item id {bad}'$"):
             graph.rows("item", [2, bad])
+        with pytest.raises(KeyError, match=f"^'unknown item id {bad}'$"):
+            graph.list_rows("item", [[2, 3], [], [4, bad]])
         if 0 <= bad < 2**63:
             with pytest.raises(KeyError, match=f"^'unknown item id {bad}'$"):
                 graph.rows("item", np.array([2, bad], dtype=np.int64))
@@ -247,6 +249,24 @@ class TestRows:
         rows = self.graph().rows("outfit", empty)
         assert rows.dtype == np.int64 and rows.shape == (0,)
 
+    def test_list_rows_flattens_lists_in_order_with_ids_from_two_to_the_sixty_three_up(self):
+        big = 2**63
+        graph = self.graph(big)
+        rows, lengths = graph.list_rows("item", [[big + 1, 2], [], [big, 3, 4], (4,)])
+        assert rows.dtype == lengths.dtype == np.int64
+        assert rows.tolist() == [4, 0, 3, 1, 2, 2] and lengths.tolist() == [2, 0, 3, 1]
+        for lists in ([], [[]], [(), []]):
+            rows, lengths = graph.list_rows("outfit", lists)
+            assert rows.dtype == lengths.dtype == np.int64
+            assert rows.shape == (0,) and lengths.tolist() == [0] * len(lists)
+
+    def test_item_categories_are_each_item_rows_category(self):
+        for ds in (tiny_dataset(), generate_synthetic(SyntheticConfig(), seed=3)):
+            graph = build_fashion_graph(ds)
+            assert graph.item_categories.dtype == np.int64
+            assert graph.item_categories.tolist() == [
+                ds.items[i].category for i in graph.item_ids.tolist()]
+
 
 def outfit_subgraph(ds: Dataset, outfit_id: int) -> dict[tuple[int, int], float]:
     """One outfit's complete item graph as the item-item level holds it:
@@ -278,9 +298,9 @@ class TestItemSubgraph:
     def test_weights_are_pure_lookup(self, tiny_ds):
         cg1 = category_cooccurrence_weights(tiny_ds)
         cg2 = category_cooccurrence_weights(tiny_ds)
-        item_ids = np.array(sorted(tiny_ds.items), dtype=np.uint64)
-        first = build_item_item_edges(tiny_ds, cg1, item_ids)
-        second = build_item_item_edges(tiny_ds, cg2, item_ids)
+        graph = build_fashion_graph(tiny_ds)
+        first = build_item_item_edges(cg1, graph.item_categories, graph.levels["item_outfit"])
+        second = build_item_item_edges(cg2, graph.item_categories, graph.levels["item_outfit"])
         assert np.array_equal(first.tgt, second.tgt) and np.array_equal(first.src, second.src)
         assert np.array_equal(first.prior, second.prior)
 
@@ -354,7 +374,9 @@ def test_pair_tables_match_nested_loop_reference(tiny_ds):
         assert cg.weights.keys() == weights.keys()
         for pair, w in weights.items():
             assert cg.weights[pair] == pytest.approx(w, rel=1e-12, abs=0.0)
-        item_edges = build_item_item_edges(ds, cg, np.array(sorted(ds.items), dtype=np.uint64))
+        graph = build_fashion_graph(ds)
+        item_edges = build_item_item_edges(cg, graph.item_categories,
+                                           graph.levels["item_outfit"])
         np.testing.assert_array_equal(item_edges.tgt, [t for t, _, _ in edges])
         np.testing.assert_array_equal(item_edges.src, [s for _, s, _ in edges])
         np.testing.assert_allclose(item_edges.prior, [w for _, _, w in edges], rtol=1e-12)
@@ -425,14 +447,36 @@ def test_every_level_equals_its_definition(seed, base, with_splits):
             np.testing.assert_array_equal(level.prior, prior, err_msg=name)
 
 
+@pytest.mark.parametrize("base", [0, 2**63])
+@pytest.mark.parametrize("seed", range(3))
+def test_levels_do_not_follow_the_order_of_the_outfits_dict(seed, base):
+    ds = random_dataset(seed, base)
+    shuffled = Dataset(users=ds.users, outfits=dict(reversed(ds.outfits.items())),
+                       items=ds.items, interactions=ds.interactions, categories=ds.categories)
+    assert list(shuffled.outfits) != list(ds.outfits)
+    splits = split_interactions(ds, seed)
+    for given in (None, splits):
+        graph, other = build_fashion_graph(ds, given), build_fashion_graph(shuffled, given)
+        assert other.item_categories.tolist() == graph.item_categories.tolist()
+        for name, level in graph.levels.items():
+            np.testing.assert_array_equal(other.levels[name].tgt, level.tgt, err_msg=name)
+            np.testing.assert_array_equal(other.levels[name].src, level.src, err_msg=name)
+        assert other.levels["item_outfit"].prior is other.levels["outfit_user"].prior is None
+        # The category weights sum each row's ratios in ``ds.outfits`` order,
+        # so the prior may move in its last bit.
+        np.testing.assert_allclose(other.item_edges.prior, graph.item_edges.prior,
+                                   rtol=1e-15, atol=0)
+
+
 def test_item_item_edges_of_one_two_item_outfit():
     base = 2**63
     items = {base + 9: make_item(1, seed=0), base + 4: make_item(0, seed=1),
              base + 5: make_item(0, seed=2)}  # base + 5 is in no outfit
     ds = Dataset(users=[0], outfits={3: [base + 9, base + 4]}, items=items,
                  interactions=frozenset({(0, 3)}), categories=["a", "b"])
-    item_ids = np.array(sorted(ds.items), dtype=np.uint64)
-    edges = build_item_item_edges(ds, category_cooccurrence_weights(ds), item_ids)
+    graph = build_fashion_graph(ds)
+    edges = build_item_item_edges(category_cooccurrence_weights(ds), graph.item_categories,
+                                  graph.levels["item_outfit"])
     assert edges.tgt.tolist() == [0, 2] and edges.src.tolist() == [2, 0]
     assert edges.prior.tolist() == [1.0, 1.0] and edges.n_tgt == 3
 

@@ -13,12 +13,13 @@ from fashiongraph.score import (
     outfit_compat_score,
     rec_score,
     rview_scores_tensor,
-    score_item_lists,
     score_items,
     view_maps,
     view_scores,
 )
 from fashiongraph.train import TrainConfig, make_model
+
+from conftest import score_lists
 
 DIMS = ModelDims(d=8, d_v=6, d_t=4, d_h=5, heads=2, r_views=3, view_hidden=4)
 
@@ -192,8 +193,8 @@ class TestScoreOutfit:
         return [self.ds.outfits[o] for o in sorted(self.ds.outfits)]
 
     def test_deterministic(self):
-        a = score_item_lists(self.outfit_lists(), self.prop, self.m)
-        b = score_item_lists(self.outfit_lists(), self.prop, self.m)
+        a = score_lists(self.outfit_lists(), self.prop, self.m)
+        b = score_lists(self.outfit_lists(), self.prop, self.m)
         assert np.array_equal(a, b)
 
     def test_permutation_invariance(self):
@@ -203,13 +204,13 @@ class TestScoreOutfit:
         np.testing.assert_allclose(fwd, rev, atol=1e-12)
 
     def test_bounded(self):
-        scores = score_item_lists(self.outfit_lists(), self.prop, self.m)
+        scores = score_lists(self.outfit_lists(), self.prop, self.m)
         assert len(scores) == len(self.ds.outfits) and np.all(np.abs(scores) < 1.0)
 
     def test_unknown_item_id_raises_key_error_naming_it(self):
         items = list(self.ds.outfits[1])
         with pytest.raises(KeyError, match="unknown item id 987654"):
-            score_item_lists([items, [*items[:1], 987654]], self.prop, self.m)
+            score_lists([items, [*items[:1], 987654]], self.prop, self.m)
         with pytest.raises(KeyError, match="unknown item id -3"):
             score_items([-3, *items], self.prop, self.m)
 

@@ -97,6 +97,21 @@ class TestAdam:
         x2 = x1 - 0.05 * (m2 / (1 - 0.81)) / (np.sqrt(v2 / (1 - 0.999**2)) + 1e-8)
         np.testing.assert_allclose(m.params[name].data, x2, atol=1e-12)
 
+    def test_a_parameter_without_a_gradient_holds_zero_moments_after_a_step(self):
+        from fashiongraph.embed import ModelDims, init_model
+
+        m = init_model(1, 1, 1, ModelDims(d=2, d_v=2, d_t=2, d_h=2, heads=1,
+                                          r_views=1, view_hidden=1), seed=2)
+        for name, p in m.parameters():
+            p.grad = None if name == "user_table" else np.ones_like(p.data)
+        opt = Adam(lr=0.1)
+        opt.step(m)
+        assert list(opt.m) == list(opt.v) == [name for name, _ in m.parameters()]
+        for moments in (opt.m, opt.v):
+            assert moments["user_table"].dtype == m.params["user_table"].data.dtype
+            assert not moments["user_table"].any()
+            assert moments["outfit_table"].any()
+
     def test_state_round_trip(self):
         opt = Adam(lr=0.1)
         opt.t = 5
