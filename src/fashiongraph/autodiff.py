@@ -563,10 +563,6 @@ def exp(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: (g * y,))
 
 
-def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """sigma(x) without overflow for large |x| (plain numpy, no tape)."""
     x = np.asarray(x)

@@ -1,6 +1,7 @@
 """Dataset loading, validation, splitting, and synthesis.
 
-On-disk formats (all ids are unsigned 64-bit integers in text form):
+On-disk formats (all ids are unsigned 64-bit integers in ASCII decimal
+digits; lines end in LF or CRLF):
 
 * interactions: one ``user_id<TAB>outfit_id`` per line
 * outfits:      one ``outfit_id<TAB>item_id,item_id,...`` per line
@@ -150,19 +151,23 @@ def validate_dataset(ds: Dataset) -> None:
 
 
 def _parse_id(token: str, path: str, lineno: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise DatasetError(f"{path}:{lineno}: not an integer id: {token!r}") from None
-    if not 0 <= value <= _U64_MAX:
+    # ASCII decimal digits only: int() would also take "+7", " 7", "1_0"
+    # and non-ASCII digits.
+    if not (token.isascii() and token.isdigit()):
+        raise DatasetError(f"{path}:{lineno}: not an integer id: {token!r}")
+    value = int(token)
+    if value > _U64_MAX:
         raise DatasetError(f"{path}:{lineno}: id out of u64 range: {value}")
     return value
 
 
 def _read_tsv(path: str | Path, n_fields: int):
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line number, fields) of each non-empty line.  Lines end at LF,
+    as ``wc -l`` counts them; a CR just before the LF is dropped, so CRLF
+    files load as LF files do."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+            line = raw.removesuffix("\n").removesuffix("\r")
             if not line:
                 continue
             fields = line.split("\t")
@@ -384,10 +389,7 @@ def split_interactions(ds: Dataset, seed: int, scheme: str = "per_user_80_20") -
         test[u] = frozenset(order[:n_test])
         val[u] = frozenset(order[n_test : n_test + n_val])
         train[u] = frozenset(order[n_test + n_val :])
-    used = set()
-    for members in ds.outfits.values():
-        used.update(members)
-    pool = frozenset(i for i in ds.items if i not in used)
+    pool = frozenset(ds.items).difference(*ds.outfits.values())
     return Splits(train=train, val=val, test=test, compat_negative_pool=pool)
 
 
@@ -460,12 +462,13 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
         txt = mean_t + cfg.feature_noise * rng.normal(size=cfg.d_t)
         return Item(iid % cfg.n_categories, vis.astype(np.float32), txt.astype(np.float32))
 
+    # The plan: a placed item, an outfit and a user sit in cluster id % k;
+    # an item's category is id % n_categories.  Draws pick indices into
+    # ranges of ids: rng.choice(len(seq)) draws what rng.choice(seq) would.
+    k = cfg.n_clusters
     items: dict[int, Item] = {}
-    item_cluster: dict[int, int] = {}
     for iid in range(n_placed):
-        cluster = iid % cfg.n_clusters
-        items[iid] = draw_item(iid, means_v[cluster], means_t[cluster])
-        item_cluster[iid] = cluster
+        items[iid] = draw_item(iid, means_v[iid % k], means_t[iid % k])
     for iid in range(n_placed, cfg.n_items):
         own_v = rng.normal(size=cfg.d_v)
         own_t = rng.normal(size=cfg.d_t)
@@ -473,45 +476,38 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
         own_t /= np.linalg.norm(own_t)
         items[iid] = draw_item(iid, own_v, own_t)
 
-    by_cluster_cat: dict[tuple[int, int], list[int]] = {}
-    for iid in range(n_placed):
-        by_cluster_cat.setdefault((item_cluster[iid], items[iid].category), []).append(iid)
-
+    # The placed items of cluster c and category t repeat every lcm(k,
+    # n_categories) ids from the first id with both residues.  When the two
+    # residues never meet (or no placed id has them), the slot draws from
+    # the whole cluster: this is how category and cluster are coupled.
+    period = math.lcm(k, cfg.n_categories)
     outfits: dict[int, list[int]] = {}
-    outfit_cluster: dict[int, int] = {}
     for oid in range(cfg.n_outfits):
-        cluster = oid % cfg.n_clusters
+        cluster = oid % k
         cats = rng.choice(cfg.n_categories, size=cfg.items_per_outfit, replace=False)
         members = []
         for cat in cats:
-            pool = by_cluster_cat.get((cluster, int(cat)))
-            if not pool:
-                pool = [i for i in range(n_placed) if item_cluster[i] == cluster]
-            choice = int(rng.choice([i for i in pool if i not in members] or pool))
-            members.append(choice)
+            start = next((i for i in range(cluster, period, k) if i % cfg.n_categories == cat),
+                         n_placed)
+            pool = range(start, n_placed, period) or range(cluster, n_placed, k)
+            candidates = [i for i in pool if i not in members] or pool
+            members.append(candidates[rng.choice(len(candidates))])
         if len(set(members)) < 2:
             raise DatasetError("could not assemble a valid outfit; add items")
         outfits[oid] = members
-        outfit_cluster[oid] = cluster
-
-    outfits_of_cluster: dict[int, list[int]] = {c: [] for c in range(cfg.n_clusters)}
-    for oid, cluster in outfit_cluster.items():
-        outfits_of_cluster[cluster].append(oid)
 
     interactions: set[tuple[int, int]] = set()
     users = list(range(cfg.n_users))
+    n_chosen = min(cfg.interactions_per_user, cfg.n_outfits)
     for u in users:
-        cluster = u % cfg.n_clusters
-        own = outfits_of_cluster[cluster]
-        other = [o for o in outfits if outfit_cluster[o] != cluster]
-        k = min(cfg.interactions_per_user, len(outfits))
-        n_own = min(round(cfg.cluster_purity * k), len(own))
-        n_other = min(k - n_own, len(other))
-        chosen = list(rng.choice(own, size=n_own, replace=False))
+        own = range(u % k, cfg.n_outfits, k)
+        other = [o for o in range(cfg.n_outfits) if o % k != u % k]
+        n_own = min(round(cfg.cluster_purity * n_chosen), len(own))
+        n_other = min(n_chosen - n_own, len(other))
+        chosen = [own[i] for i in rng.choice(len(own), size=n_own, replace=False)]
         if n_other:
-            chosen += list(rng.choice(other, size=n_other, replace=False))
-        for o in chosen:
-            interactions.add((u, int(o)))
+            chosen += [other[i] for i in rng.choice(len(other), size=n_other, replace=False)]
+        interactions.update((u, o) for o in chosen)
 
     ds = Dataset(
         users=users,

@@ -161,38 +161,30 @@ def forward_tensors(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    training = mode == "train"
-    p_embed, p_attn = dropout if training else (0.0, 0.0)
-    if training and (p_embed > 0 or p_attn > 0) and rng is None:
+    p_embed, p_attn = dropout if mode == "train" else (0.0, 0.0)
+    if (p_embed > 0 or p_attn > 0) and rng is None:
         raise ValueError("training mode with dropout needs an RNG")
 
     X_v, X_t, _ = ds.item_features  # rows in graph.item_ids order
-    h_item = fuse_items_tensor(m, X_v, X_t)
-    h_outfit = m.params["outfit_table"]
-    h_user = m.params["user_table"]
-    if training and p_embed > 0:
-        h_item = _dropout(h_item, p_embed, rng, m.dtype)
-        h_outfit = _dropout(h_outfit, p_embed, rng, m.dtype)
-        h_user = _dropout(h_user, p_embed, rng, m.dtype)
+    h = {
+        "item": fuse_items_tensor(m, X_v, X_t),
+        "outfit": m.params["outfit_table"],
+        "user": m.params["user_table"],
+    }
+    if p_embed > 0:
+        h = {kind: _dropout(x, p_embed, rng, m.dtype) for kind, x in h.items()}
 
-    attn_p = p_attn if training else 0.0
-    levels = graph.levels
-    h_item_star, alpha_ii = _propagate_level_tensor(
-        m, "item_item", h_item, h_item, levels["item_item"], dropout_p=attn_p, rng=rng
-    )
-    h_outfit_star, alpha_io = _propagate_level_tensor(
-        m, "item_outfit", h_outfit, h_item_star, levels["item_outfit"],
-        dropout_p=attn_p, rng=rng,
-    )
-    h_user_star, alpha_ou = _propagate_level_tensor(
-        m, "outfit_user", h_user, h_outfit_star, levels["outfit_user"],
-        dropout_p=attn_p, rng=rng,
-    )
+    attention = {}
+    for level in LEVELS:  # in order: a level reads what the one before it updated
+        src, tgt = level.split("_")
+        h[tgt], attention[level] = _propagate_level_tensor(
+            m, level, h[tgt], h[src], graph.levels[level], dropout_p=p_attn, rng=rng
+        )
     return ForwardTensors(
-        h_item_star=h_item_star,
-        h_outfit_star=h_outfit_star,
-        h_user_star=h_user_star,
-        attention={"item_item": alpha_ii, "item_outfit": alpha_io, "outfit_user": alpha_ou},
+        h_item_star=h["item"],
+        h_outfit_star=h["outfit"],
+        h_user_star=h["user"],
+        attention=attention,
     )
 
 

@@ -90,7 +90,6 @@ def test_nonlinearities():
     check_op(lambda ts: ad.sum_(ad.leaky_relu(ts[0], 0.2)), [(4, 3)], seed=3)
     check_op(lambda ts: ad.sum_(ad.tanh(ts[0])), [(6,)])
     check_op(lambda ts: ad.sum_(ad.exp(ts[0])), [(6,)])
-    check_op(lambda ts: ad.sum_(ad.log(ad.exp(ts[0]) + 1.5)), [(6,)])
     check_op(lambda ts: ad.sum_(ad.softplus(ts[0])), [(6,)], seed=5)
 
 

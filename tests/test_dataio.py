@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -21,6 +22,18 @@ from fashiongraph.dataio import (
 )
 
 from conftest import make_item, tiny_dataset
+
+
+def files_config(tmp_path, paths):
+    """A files-mode run config over ``write_dataset``'s ``paths``."""
+    cfg = tmp_path / "files.cfg"
+    cfg.write_text(
+        "seed=1\nmode=files\n"
+        f"interactions={paths['interactions']}\noutfits={paths['outfits']}\n"
+        f"items={paths['items']}\nvisual_features={paths['visual']}\n"
+        f"textual_features={paths['textual']}\n"
+    )
+    return cfg
 
 
 class TestLoadAndValidate:
@@ -74,6 +87,36 @@ class TestLoadAndValidate:
                 visual=paths["visual"],
                 textual=paths["textual"],
             )
+
+    @pytest.mark.parametrize("token", ["+7", " 7", "7 ", "-0", "1_0", "\u0663"])
+    @pytest.mark.parametrize("kind", ["interactions", "outfits", "items"])
+    def test_id_that_is_not_ascii_digits_exits_one_through_ingest(
+        self, tmp_path, capsys, kind, token
+    ):
+        from fashiongraph.cli import main
+
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        line = {"interactions": f"{token}\t101", "outfits": f"103\t0,{token}",
+                "items": f"{token}\tbag"}[kind]
+        with open(paths[kind], "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        lineno = len(paths[kind].read_text(encoding="utf-8").splitlines())
+        assert main(["ingest", "--config", str(files_config(tmp_path, paths))]) == 1
+        err = capsys.readouterr().err
+        assert f"{paths[kind]}:{lineno}: not an integer id: {token!r}" in err, err
+
+    def test_crlf_files_load_as_the_lf_files_do(self, tiny_ds, tmp_path):
+        paths = write_dataset(tiny_ds, tmp_path)
+        for kind in ("interactions", "outfits", "items"):
+            paths[kind].write_bytes(paths[kind].read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_dataset(**paths)
+        assert datasets_equal(tiny_ds, loaded)
+
+    def test_a_lone_cr_does_not_end_a_line(self, tiny_ds, tmp_path):
+        paths = write_dataset(tiny_ds, tmp_path)
+        paths["interactions"].write_text("10\t100\r10\t101\n11\t101\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"interactions.tsv:1: expected 2 .* got 3"):
+            load_dataset(**paths)
 
     def test_outfit_needs_two_items(self, tiny_ds):
         bad = Dataset(
@@ -164,13 +207,7 @@ class TestFeatureFileFuzz:
         from fashiongraph.cli import main
 
         paths = write_dataset(tiny_dataset(), tmp_path / "data")
-        cfg = tmp_path / "files.cfg"
-        cfg.write_text(
-            "seed=1\nmode=files\n"
-            f"interactions={paths['interactions']}\noutfits={paths['outfits']}\n"
-            f"items={paths['items']}\nvisual_features={paths['visual']}\n"
-            f"textual_features={paths['textual']}\n"
-        )
+        cfg = files_config(tmp_path, paths)
         blob = paths["visual"].read_bytes()
         # Cuts in the header, an id and the payload, and flips of the count,
         # the dimension, an id and a float to NaN.
@@ -340,3 +377,80 @@ class TestSynthetic:
         ds = generate_synthetic(SyntheticConfig(), seed=1)
         used = {i for members in ds.outfits.values() for i in members}
         assert len(set(ds.items) - used) > 0
+
+
+# Seven synthetic configs, each pinned by the sha256 of the five files
+# ``write_dataset`` writes (in its path order) at three or four seeds.
+PLANNED_CONFIGS = {
+    "default": SyntheticConfig(),
+    "five_categories": SyntheticConfig(n_categories=5),
+    "three_clusters_four_categories": SyntheticConfig(n_clusters=3, n_categories=4),
+    "purity_zero": SyntheticConfig(cluster_purity=0.0),
+    "tiny_three_clusters": SyntheticConfig(n_users=3, n_outfits=3, n_items=12, n_categories=3,
+                                           n_clusters=3, items_per_outfit=2),
+    "one_cluster_seven_categories": SyntheticConfig(n_clusters=1, n_categories=7),
+    "six_per_outfit": SyntheticConfig(items_per_outfit=6),
+}
+GOLDEN_DIGESTS = {
+    "default": {
+        0: "c6518955de64d6b0865d8338391533fbeb147b29d75ab971a8bb45a5f9ab0274",
+        1: "65d6e582db36bfc0a757f3e26f264f1ad588867729c0a825325c84345d808e2c",
+        2: "6cdb842b082e492406bc5cdd8d2530f03f894d1ef249a2ce9f45a48a867eb476",
+        7: "6ca745168d7263b94ea1e4fd32da9f54ed410646b57826ac5e9cc0ea9d23521c",
+    },
+    "five_categories": {
+        0: "0b43ae3628fea51fc82f88f09a87246e96020d12ffea76942f9c983bf7da4638",
+        1: "064ac2f3373e54506d5354b117277b2760cee9898a3a832ff77fa06448581704",
+        2: "727f7751688f0f6f70f96a472a8ef6a961ca8a018f8b8acc587857eea9e70e83",
+    },
+    "three_clusters_four_categories": {
+        0: "671cc9c50eb1002b7dbe2be4ecd1dfb028fa25009155498e6cc1d91b4afd11d8",
+        1: "6fe2cde516c06f1bf1d58a9bf4ab6a8c6ea0be0618455f287766fd993101b275",
+        2: "c4d521b7bc26ffc5b50f91db1c063deec104796675e6b17f0df13850b1b36d3c",
+    },
+    "purity_zero": {
+        0: "b4a13b841dbeae705e3afe721fcc24cecbe8213eadd4e17c079b59420c43b636",
+        1: "d39fcdd4c765aafb984d9a23ced2fe53e9ca0f49dc9ae6cc81678195a1a8ce3a",
+        2: "c05caf1ef7de5862b086e82a229ad4568859626c2266399cfdce443bb48ffcb9",
+    },
+    "tiny_three_clusters": {
+        0: "6cea58a0364fa5cadd27be8a7f5b4f166b1355f0ec7de4296a47dd3a5198e293",
+        1: "d2dbde4f42606cf700b84dbec69570b4237578e2c5d9e10960f28ff12e563fd0",
+        2: "60e2952df6016dbe4ad3c65042b70ddc1c55b38df576d8cab6effa00e7e584f3",
+    },
+    "one_cluster_seven_categories": {
+        0: "bf3733963814f05694f25756f5fb311b2fafd2b974254ad840993b5428841fb7",
+        1: "2c3e47dfa76ee586297fd107419deec52482d164096c817fdf450d7c6264f93e",
+        2: "59c0244d56d8c8ef18a220870d9f88dbda6727358d06a290c223d94be1c54ab4",
+    },
+    "six_per_outfit": {
+        0: "783f2ef575c70d37d8a335307c1bfb9b022998afa5c84cc70acdc9febc9efb46",
+        1: "6fad8420b96eec73e0219c609eb6c323ff0b5aca8689086b727a5ea38817bf95",
+        2: "61a47000129ca2dac499aa8ded5d07189174253b06494a4fafec1b9fc17a7b65",
+    },
+}
+PLANNED_CASES = [(name, seed) for name, by_seed in GOLDEN_DIGESTS.items() for seed in by_seed]
+
+
+class TestSyntheticPlan:
+    @pytest.mark.parametrize("name,seed", PLANNED_CASES)
+    def test_files_match_the_golden_digest(self, tmp_path, name, seed):
+        paths = write_dataset(generate_synthetic(PLANNED_CONFIGS[name], seed), tmp_path)
+        digest = hashlib.sha256()
+        for path in paths.values():
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[name][seed]
+
+    @pytest.mark.parametrize("name,seed", PLANNED_CASES)
+    def test_clusters_and_categories_follow_the_ids(self, name, seed):
+        cfg = PLANNED_CONFIGS[name]
+        ds = generate_synthetic(cfg, seed)
+        k, n_placed = cfg.n_clusters, cfg.n_items - int(cfg.n_items * cfg.unused_item_fraction)
+        assert all(item.category == i % cfg.n_categories for i, item in ds.items.items())
+        for oid, members in ds.outfits.items():
+            assert all(i % k == oid % k and i < n_placed for i in members), (oid, members)
+        n = min(cfg.interactions_per_user, cfg.n_outfits)
+        for u in ds.users:
+            own = len(range(u % k, cfg.n_outfits, k))
+            in_cluster = sum(o % k == u % k for v, o in ds.interactions if v == u)
+            assert in_cluster == min(round(cfg.cluster_purity * n), own), u

@@ -167,7 +167,8 @@ class TestSampling:
         ds = Dataset(users=[1], outfits=outfits, items=items,
                      interactions=frozenset(inter), categories=["a", "b"])
         splits = split_interactions(ds, seed=0)
-        batch = sample_negatives(ds, splits, seed=0)
+        with pytest.warns(UserWarning, match="no category-template negative"):
+            batch = sample_negatives(ds, splits, seed=0)
         assert set(batch.rec_neg) == {4}
 
     def test_user_with_every_outfit_skipped_with_warning(self):
@@ -254,6 +255,7 @@ class TestTrainEpoch:
         assert stats.l_comp == pytest.approx(l_comp, abs=1e-12)
         assert stats.l_total == pytest.approx(loss.item(), abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostics(self):
         ds, splits, graph, cfg, m = self._setup()
         m.params["user_table"].data[0, 0] = np.nan
