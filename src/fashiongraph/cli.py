@@ -26,6 +26,7 @@ from .dataio import (
     Splits,
     generate_synthetic,
     load_dataset,
+    not_utf8,
     split_interactions,
     write_features,
 )
@@ -50,49 +51,43 @@ class RunConfig(TrainConfig):
     items: str = ""
     visual_features: str = ""
     textual_features: str = ""
-    # synthetic mode
-    synth_users: int = 20
-    synth_outfits: int = 40
-    synth_items: int = 60
-    synth_categories: int = 6
-    synth_clusters: int = 2
-    synth_dv: int = 16
-    synth_dt: int = 8
-    synth_items_per_outfit: int = 4
-    synth_interactions_per_user: int = 12
-    synth_purity: float = 0.95
-    synth_noise: float = 0.2
-    synth_unused_fraction: float = 0.2
+    synthetic: SyntheticConfig = SyntheticConfig()  # synthetic mode: the synth_* keys
 
     def train_config(self) -> TrainConfig:
         """The training keys of this config as a plain ``TrainConfig``."""
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
-    def synthetic_config(self) -> SyntheticConfig:
-        return SyntheticConfig(
-            n_users=self.synth_users,
-            n_outfits=self.synth_outfits,
-            n_items=self.synth_items,
-            n_categories=self.synth_categories,
-            n_clusters=self.synth_clusters,
-            d_v=self.synth_dv,
-            d_t=self.synth_dt,
-            items_per_outfit=self.synth_items_per_outfit,
-            interactions_per_user=self.synth_interactions_per_user,
-            cluster_purity=self.synth_purity,
-            feature_noise=self.synth_noise,
-            unused_item_fraction=self.synth_unused_fraction,
-        )
 
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Each synthetic-mode config key and the ``SyntheticConfig`` field it sets.
+_SYNTH_KEYS = {
+    "synth_users": "n_users",
+    "synth_outfits": "n_outfits",
+    "synth_items": "n_items",
+    "synth_categories": "n_categories",
+    "synth_clusters": "n_clusters",
+    "synth_dv": "d_v",
+    "synth_dt": "d_t",
+    "synth_items_per_outfit": "items_per_outfit",
+    "synth_interactions_per_user": "interactions_per_user",
+    "synth_purity": "cluster_purity",
+    "synth_noise": "feature_noise",
+    "synth_unused_fraction": "unused_item_fraction",
+}
+_SYNTH_TYPES = {f.name: f.type for f in fields(SyntheticConfig)}
+# Each config key and the type its value is parsed as.
+_KEY_TYPES = {f.name: f.type for f in fields(RunConfig) if f.name != "synthetic"} | {
+    key: _SYNTH_TYPES[name] for key, name in _SYNTH_KEYS.items()}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """The file's ``key=value`` lines as a dict; a key given twice is refused."""
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(not_utf8(path)) from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -100,6 +95,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key not in _KEY_TYPES:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in lines:
             raise ValueError(f"{path}:{lineno}: {key!r} is already set on line {lines[key]}")
         values[key], lines[key] = value.strip(), lineno
@@ -107,17 +104,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -> RunConfig:
-    merged: dict[str, object] = {}
-    for key, raw in file_values.items():
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        merged[key] = raw
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged = {**file_values, **{k: v for k, v in overrides.items() if v is not None}}
     if "seed" not in merged:
         raise ValueError("config must set a seed (wall-clock seeding is not allowed)")
     typed: dict[str, object] = {}
     for key, value in merged.items():
-        annotation = str(_FIELD_TYPES[key])
+        annotation = str(_KEY_TYPES[key])
         if isinstance(value, str) and annotation in ("int", "float"):
             try:
                 value = int(value) if annotation == "int" else float(value)
@@ -125,37 +117,29 @@ def make_run_config(file_values: dict[str, str], overrides: dict[str, object]) -
                 raise ValueError(
                     f"config key {key!r}: cannot parse {value!r} as {annotation}") from None
         typed[key] = value
-    rc = RunConfig(**typed)
+    synthetic = {_SYNTH_KEYS[key]: typed.pop(key) for key in list(typed) if key in _SYNTH_KEYS}
+    rc = RunConfig(**typed, synthetic=SyntheticConfig(**synthetic))
     if rc.mode not in ("synthetic", "files"):
         raise ValueError(f"mode must be 'synthetic' or 'files', got {rc.mode!r}")
     if rc.k < 1:
         raise ValueError(f"config key k must be >= 1, got {rc.k}")
     if rc.mode == "files":
-        paths = {
-            "interactions": rc.interactions,
-            "outfits": rc.outfits,
-            "items": rc.items,
-            "visual_features": rc.visual_features,
-            "textual_features": rc.textual_features,
-        }
-        for name, p in paths.items():
+        for name in ("interactions", "outfits", "items", "visual_features", "textual_features"):
+            p = getattr(rc, name)
             if not p:
                 raise ValueError(f"files mode requires the {name} path")
             if not Path(p).exists():
                 raise FileNotFoundError(f"{name} file not found: {p}")
+            if Path(p).is_dir():
+                raise ValueError(f"{name} path is a directory, not a file: {p}")
     return rc
 
 
 def load_run_data(rc: RunConfig) -> Dataset:
     if rc.mode == "synthetic":
-        return generate_synthetic(rc.synthetic_config(), rc.seed)
-    return load_dataset(
-        interactions=rc.interactions,
-        outfits=rc.outfits,
-        items=rc.items,
-        visual=rc.visual_features,
-        textual=rc.textual_features,
-    )
+        return generate_synthetic(rc.synthetic, rc.seed)
+    return load_dataset(rc.interactions, rc.outfits, rc.items, rc.visual_features,
+                        rc.textual_features)
 
 
 def prepare(rc: RunConfig) -> tuple[Dataset, Splits, FashionGraph]:

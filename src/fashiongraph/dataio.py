@@ -161,22 +161,38 @@ def _parse_id(token: str, path: str, lineno: int) -> int:
     return value
 
 
+def not_utf8(path: str | Path) -> str:
+    """``path:line:`` and the first byte of the file that is not UTF-8.  The
+    file is read again as bytes, so a reader finds the line only once its
+    decoding has failed."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{lineno}: not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})"
+    return f"{path}: not UTF-8"  # the file changed after its read failed
+
+
 def _read_tsv(path: str | Path, n_fields: int):
     """Yield (line number, fields) of each non-empty line.  Lines end at LF,
     as ``wc -l`` counts them; a CR just before the LF is dropped, so CRLF
     files load as LF files do."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.removesuffix("\n").removesuffix("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            yield lineno, fields
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.removesuffix("\n").removesuffix("\r")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != n_fields:
+                    raise DatasetError(
+                        f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                        f"got {len(fields)}"
+                    )
+                yield lineno, fields
+    except UnicodeDecodeError:
+        raise DatasetError(not_utf8(path)) from None
 
 
 def read_features(path: str | Path) -> dict[int, np.ndarray]:
@@ -412,6 +428,32 @@ class SyntheticConfig:
     feature_noise: float = 0.2
     unused_item_fraction: float = 0.2  # items kept out of every outfit (negative pool)
 
+    def __post_init__(self):
+        """Reject a bad value, naming its field, before any data is drawn."""
+        for name in ("n_users", "n_outfits", "n_items", "n_categories", "n_clusters", "d_v",
+                     "d_t", "interactions_per_user"):
+            if getattr(self, name) < 1:
+                raise DatasetError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.items_per_outfit < 2:
+            raise DatasetError(f"items_per_outfit must be >= 2, got {self.items_per_outfit}")
+        if self.n_items < self.n_categories:
+            raise DatasetError("need at least one item per category")
+        if min(self.n_users, self.n_outfits) < self.n_clusters:
+            raise DatasetError("fewer users or outfits than clusters")
+        if not 0.0 <= self.cluster_purity <= 1.0:
+            raise DatasetError("cluster_purity must be in [0, 1]")
+        if not 0.0 <= self.unused_item_fraction <= 1.0:  # NaN fails both
+            raise DatasetError("unused_item_fraction must be in [0, 1]")
+        if not 0.0 <= self.feature_noise < math.inf:
+            raise DatasetError("feature_noise must be finite and >= 0")
+        if self.n_placed < self.n_clusters * self.items_per_outfit:
+            raise DatasetError("not enough placeable items for the requested clusters")
+
+    @property
+    def n_placed(self) -> int:
+        """The items outfits are drawn from; the rest form the negative pool."""
+        return self.n_items - int(self.n_items * self.unused_item_fraction)
+
 
 def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
     """Generate a clustered dataset with a learnable style signal.
@@ -426,28 +468,8 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> Dataset:
     own random unit direction, so pool items score independently under an
     untrained model while staying separable from every cluster.
     """
-    for name in ("n_users", "n_outfits", "n_items", "n_categories", "n_clusters", "d_v", "d_t",
-                 "interactions_per_user"):
-        if getattr(cfg, name) < 1:
-            raise DatasetError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.items_per_outfit < 2:
-        raise DatasetError(f"items_per_outfit must be >= 2, got {cfg.items_per_outfit}")
-    if cfg.n_items < cfg.n_categories:
-        raise DatasetError("need at least one item per category")
-    if min(cfg.n_users, cfg.n_outfits) < cfg.n_clusters:
-        raise DatasetError("fewer users or outfits than clusters")
-    if not 0.0 <= cfg.cluster_purity <= 1.0:
-        raise DatasetError("cluster_purity must be in [0, 1]")
-    if not 0.0 <= cfg.unused_item_fraction <= 1.0:  # NaN fails both
-        raise DatasetError("unused_item_fraction must be in [0, 1]")
-    if not 0.0 <= cfg.feature_noise < math.inf:
-        raise DatasetError("feature_noise must be finite and >= 0")
-
     rng = substream(seed, "synthetic")
-    n_pool = int(cfg.n_items * cfg.unused_item_fraction)
-    n_placed = cfg.n_items - n_pool
-    if n_placed < cfg.n_clusters * cfg.items_per_outfit:
-        raise DatasetError("not enough placeable items for the requested clusters")
+    n_placed = cfg.n_placed
 
     categories = [f"cat{c:02d}" for c in range(cfg.n_categories)]
 

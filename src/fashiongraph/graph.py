@@ -175,6 +175,9 @@ def category_cooccurrence_weights(ds: Dataset) -> CategoryGraph:
         # Ordered pairs of distinct positions: (c, c) only when c repeats.
         for pair in set(permutations(cats, 2)):
             co[pair] = co.get(pair, 0) + 1
+    # Each row sums its ratios in (c_i, c_j) order, not in the order the
+    # pairs were first met, so the weights do not follow set or dict order.
+    co = dict(sorted(co.items()))
     totals: dict[int, float] = {}
     for (c_i, c_j), n in co.items():
         totals[c_i] = totals.get(c_i, 0.0) + n / cat_counts[c_j]

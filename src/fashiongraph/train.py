@@ -38,20 +38,20 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    d: int = 64
+    d: int = ModelDims.d
     batch_size: int = 512
     lr: float = 0.001
     dropout_embed: float = 0.2
     dropout_attn: float = 0.3
     l2: float = 1e-4
-    heads: int = 4
-    r_views: int = 6
+    heads: int = ModelDims.heads
+    r_views: int = ModelDims.r_views
     epochs: int = 50
     seed: int = 0
     lambda_rec: float = 1.0
     lambda_comp: float = 1.0
-    d_h: int = 256
-    view_hidden: int = 32
+    d_h: int = ModelDims.d_h
+    view_hidden: int = ModelDims.view_hidden
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -60,6 +60,8 @@ class TrainConfig:
         for key in ("d", "batch_size", "heads", "r_views", "epochs", "d_h", "view_hidden"):
             if values[key] < 1:
                 raise ValueError(f"{key} must be positive, got {values[key]}")
+        if self.d % 2:  # each modality fills one half of the embedding
+            raise ValueError(f"d must be even, got {self.d}")
         for key in ("lr", "l2", "lambda_rec", "lambda_comp"):
             if not 0.0 <= values[key] < math.inf:  # NaN fails both
                 raise ValueError(f"{key} must be finite and >= 0, got {values[key]}")
@@ -100,23 +102,10 @@ class EpochStats:
 
 
 def make_model(graph: FashionGraph, ds: Dataset, cfg: TrainConfig) -> ModelState:
-    dims = ModelDims(
-        d=cfg.d,
-        d_v=ds.d_v,
-        d_t=ds.d_t,
-        d_h=cfg.d_h,
-        heads=cfg.heads,
-        r_views=cfg.r_views,
-        view_hidden=cfg.view_hidden,
-    )
-    return init_model(
-        graph.n_users,
-        graph.n_outfits,
-        len(ds.categories),
-        dims,
-        cfg.seed,
-        dtype=cfg.dtype,
-    )
+    dims = ModelDims(d=cfg.d, d_v=ds.d_v, d_t=ds.d_t, d_h=cfg.d_h, heads=cfg.heads,
+                     r_views=cfg.r_views, view_hidden=cfg.view_hidden)
+    return init_model(graph.n_users, graph.n_outfits, len(ds.categories), dims, cfg.seed,
+                      dtype=cfg.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class TestConfig:
     def test_parse_and_override(self, tmp_path):
         path, _ = write_cfg(tmp_path, seed=5)
         rc = make_run_config(parse_config_file(path), {"seed": 9, "out_dir": None})
-        assert rc.seed == 9 and rc.synth_users == 8
+        assert rc.seed == 9 and rc.synthetic.n_users == 8
 
     def test_missing_seed_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -83,6 +83,19 @@ class TestConfig:
         p.write_text("seed=1\nwat=2\n")
         with pytest.raises(ValueError, match="wat"):
             make_run_config(parse_config_file(p), {})
+
+    @pytest.mark.parametrize("key", ["r_Views", "synthetic"])
+    def test_unknown_key_names_its_file_and_line(self, tmp_path, key):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"seed=1\n\n{key}=2\n")
+        with pytest.raises(ValueError, match=rf"bad.cfg:3: unknown config key '{key}'"):
+            parse_config_file(p)
+
+    def test_config_file_not_utf8_names_its_line(self, tmp_path, capsys):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes(b"seed=1\n# \xa3 sterling\n")
+        assert main(["ingest", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {p}:2: not UTF-8: byte 0xa3")
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -117,7 +130,7 @@ class TestIngest:
         assert "categories: 6" in out
         assert "top-5 co-occurring category pairs:" in out
         rc = make_run_config(parse_config_file(path), {})
-        graph = build_fashion_graph(generate_synthetic(rc.synthetic_config(), rc.seed))
+        graph = build_fashion_graph(generate_synthetic(rc.synthetic, rc.seed))
         n_item_item = len(graph.levels["item_item"].tgt)
         assert n_item_item > 0
         # the largest level, printed right after the user-outfit + outfit-item count
@@ -128,7 +141,7 @@ class TestIngest:
         assert main(["ingest", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         rc = make_run_config(parse_config_file(path), {})
-        ds = generate_synthetic(rc.synthetic_config(), rc.seed)
+        ds = generate_synthetic(rc.synthetic, rc.seed)
         counts = [0] * len(ds.categories)
         for item in ds.items.values():
             counts[item.category] += 1
@@ -235,6 +248,7 @@ class TestTrain:
         ("synth_clusters", "0", "n_clusters"),
         ("synth_interactions_per_user", "0", "interactions_per_user"),
         ("synth_items_per_outfit", "1", "items_per_outfit"),
+        ("d", "63", "d"),
     ])
     def test_bad_config_value_exits_one_naming_the_key(self, tmp_path, capsys, key, value,
                                                        named):
@@ -242,7 +256,7 @@ class TestTrain:
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, err
-        assert not (out_dir / "train_log.csv").exists()
+        assert not out_dir.exists()  # refused before the output directory is made
 
     def test_resume_without_checkpoint_fails(self, tmp_path):
         path, _ = write_cfg(tmp_path)
@@ -506,6 +520,20 @@ class TestBadFilesExitOne:
         assert "non-finite" in err, err
         assert sorted(p.name for p in out.iterdir()) == ["train_log.csv"]
         assert (out / "train_log.csv").read_text() == ""
+
+    def test_tsv_not_utf8_names_its_file_and_line(self, tmp_path, capsys):
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        lines = paths["items"].read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"\n", b"\xa3\n")
+        paths["items"].write_bytes(b"".join(lines))
+        self._train_fails(tmp_path, paths, capsys, f"error: {paths['items']}:3: not UTF-8")
+
+    def test_data_path_naming_a_directory_exits_one_before_any_output(self, tmp_path, capsys):
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        paths["visual"] = tmp_path / "data"
+        self._train_fails(tmp_path, paths, capsys, f"visual_features path is a directory, "
+                                                   f"not a file: {paths['visual']}")
+        assert not (tmp_path / "out").exists()
 
 
 SHIFT = 2**63 + 1000  # ids from 2^63 up do not fit an int64

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import fashiongraph.evaluate as E
-from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
+from fashiongraph.dataio import (
+    Dataset,
+    Splits,
+    SyntheticConfig,
+    generate_synthetic,
+    split_interactions,
+)
 from fashiongraph.evaluate import (
     auc,
     evaluate,
@@ -18,6 +24,8 @@ from fashiongraph.graph import build_fashion_graph
 from fashiongraph.propagate import PropagationOutput, forward
 from fashiongraph.score import score_items
 from fashiongraph.train import TrainConfig, make_model
+
+from conftest import make_item
 
 
 # --- independent brute-force references ------------------------------------
@@ -177,6 +185,34 @@ class TestEvaluate:
                           include_compat=False, prop=prop)
         assert report.hr == 1.0
         assert report.ndcg == 1.0
+
+    def test_report_fields_equal_hand_counted_means(self):
+        """Three users, five outfits and k=3, ranked by one-hot outfit
+        embeddings, so each user's scores are their row of ``h_user``."""
+        items = {i: make_item(category=i % 2, seed=i) for i in range(4)}
+        outfits = {o: [o % 4, (o + 1) % 4] for o in range(5)}
+        parts = ({0: {0}, 1: {1}, 2: {0}},      # train
+                 {0: set(), 1: {2}, 2: set()},  # val
+                 {0: {3, 4}, 1: {0}, 2: {2}})   # test
+        split = Splits(*({u: frozenset(o) for u, o in part.items()} for part in parts),
+                       compat_negative_pool=frozenset())
+        ds = Dataset(users=[0, 1, 2], outfits=outfits, items=items, categories=["a", "b"],
+                     interactions=frozenset((u, o) for part in parts
+                                            for u, os in part.items() for o in os))
+        graph = build_fashion_graph(ds, split)
+        h_user = np.array([[0.0, 0.9, 0.5, 0.8, 0.1],    # candidates 1, 3, 2 | 4
+                           [0.2, 0.0, 0.0, 0.9, 0.7],    # candidates 3, 4, 0
+                           [0.0, 0.9, 0.1, 0.8, 0.7]])   # candidates 1, 3, 4 | 2
+        prop = PropagationOutput(h_item_star=np.zeros((4, 5)), h_outfit_star=np.eye(5),
+                                 h_user_star=h_user, attention={}, graph=graph)
+        report = evaluate(None, graph, ds, split, seed=0, k=3, include_compat=False, prop=prop)
+        # user 0 hits outfit 3 at rank 2 of its 2 relevant; user 1 hits
+        # outfit 0 at rank 3 of 1; user 2 hits nothing
+        ndcg_0 = (1 / math.log2(3)) / (1 + 1 / math.log2(3))
+        assert report.hr == pytest.approx(2 / 3)
+        assert report.recall == pytest.approx((1 / 2 + 1) / 3)
+        assert report.precision == pytest.approx((1 / 3 + 1 / 3) / 3)
+        assert report.ndcg == pytest.approx((ndcg_0 + 1 / math.log2(4)) / 3)
 
     def test_deterministic_reports(self):
         w = SmallWorld(seed=4)

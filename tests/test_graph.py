@@ -448,24 +448,25 @@ def test_every_level_equals_its_definition(seed, base, with_splits):
 
 
 @pytest.mark.parametrize("base", [0, 2**63])
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", range(8))
 def test_levels_do_not_follow_the_order_of_the_outfits_dict(seed, base):
     ds = random_dataset(seed, base)
-    shuffled = Dataset(users=ds.users, outfits=dict(reversed(ds.outfits.items())),
-                       items=ds.items, interactions=ds.interactions, categories=ds.categories)
-    assert list(shuffled.outfits) != list(ds.outfits)
+    ids, rng = list(ds.outfits), np.random.default_rng(seed)
+    orders = [ids[::-1]] + [[ids[k] for k in rng.permutation(len(ids))] for _ in range(3)]
     splits = split_interactions(ds, seed)
-    for given in (None, splits):
-        graph, other = build_fashion_graph(ds, given), build_fashion_graph(shuffled, given)
-        assert other.item_categories.tolist() == graph.item_categories.tolist()
-        for name, level in graph.levels.items():
-            np.testing.assert_array_equal(other.levels[name].tgt, level.tgt, err_msg=name)
-            np.testing.assert_array_equal(other.levels[name].src, level.src, err_msg=name)
-        assert other.levels["item_outfit"].prior is other.levels["outfit_user"].prior is None
-        # The category weights sum each row's ratios in ``ds.outfits`` order,
-        # so the prior may move in its last bit.
-        np.testing.assert_allclose(other.item_edges.prior, graph.item_edges.prior,
-                                   rtol=1e-15, atol=0)
+    graphs = [(given, build_fashion_graph(ds, given)) for given in (None, splits)]
+    for order in orders:
+        shuffled = Dataset(users=ds.users, outfits={o: ds.outfits[o] for o in order},
+                           items=ds.items, interactions=ds.interactions,
+                           categories=ds.categories)
+        for given, graph in graphs:
+            other = build_fashion_graph(shuffled, given)
+            assert other.item_categories.tolist() == graph.item_categories.tolist()
+            for name, level in graph.levels.items():
+                np.testing.assert_array_equal(other.levels[name].tgt, level.tgt, err_msg=name)
+                np.testing.assert_array_equal(other.levels[name].src, level.src, err_msg=name)
+            assert other.levels["item_outfit"].prior is other.levels["outfit_user"].prior is None
+            np.testing.assert_array_equal(other.item_edges.prior, graph.item_edges.prior)
 
 
 def test_item_item_edges_of_one_two_item_outfit():

@@ -347,3 +347,14 @@ def test_train_config_validation():
         TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+def test_model_shape_defaults_are_the_papers():
+    """d=64, 4 heads and R=6 views, declared once in ``ModelDims``; the
+    model ``make_model`` builds from a default ``TrainConfig`` has them."""
+    ds = generate_synthetic(SyntheticConfig(), seed=0)
+    graph = build_fashion_graph(ds)
+    dims = make_model(graph, ds, TrainConfig()).dims
+    shape = (dims.d, dims.d_h, dims.heads, dims.r_views, dims.view_hidden)
+    assert shape == (64, 256, 4, 6, 32)
+    assert (dims.d_v, dims.d_t) == (ds.d_v, ds.d_t)
