@@ -34,7 +34,7 @@ from .embed import ModelState, check_checkpoints, commit_checkpoint, load_checkp
 from .evaluate import evaluate, fltb_accuracy, format_report, ranked_outfits
 from .graph import FashionGraph, build_fashion_graph
 from .propagate import forward
-from .train import Adam, TrainConfig, TrainingDivergedError, make_model, train_epoch
+from .train import Adam, TrainConfig, make_model, train_epoch
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ValueError(not_utf8(path)) from None
+    except IsADirectoryError:
+        raise ValueError(f"{path}: config path is a directory, not a file") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -398,9 +400,6 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    except TrainingDivergedError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -136,18 +136,23 @@ def validate_dataset(ds: Dataset) -> None:
                 f"item {iid}: textual dim {item.textual.shape[0]} != corpus dim {d_t}"
             )
     for oid, item_ids in ds.outfits.items():
-        if len(item_ids) < 2:
-            raise DatasetError(f"outfit {oid}: needs >= 2 items, has {len(item_ids)}")
-        if len(set(item_ids)) != len(item_ids):
-            raise DatasetError(f"outfit {oid}: duplicate item ids")
-        for iid in item_ids:
-            if iid not in ds.items:
-                raise DatasetError(f"outfit {oid}: references missing item {iid}")
+        _check_outfit(oid, item_ids, ds.items)
     for u, o in ds.interactions:
         if u not in user_set:
             raise DatasetError(f"interaction ({u}, {o}): unknown user {u}")
         if o not in ds.outfits:
             raise DatasetError(f"interaction ({u}, {o}): unknown outfit {o}")
+
+
+def _check_outfit(oid: int, item_ids: list[int], items, where: str = "") -> None:
+    """Raise DatasetError, led by ``where``, unless the outfit lists >= 2 distinct ``items``."""
+    if len(item_ids) < 2:
+        raise DatasetError(f"{where}outfit {oid}: needs >= 2 items, has {len(item_ids)}")
+    if len(set(item_ids)) != len(item_ids):
+        raise DatasetError(f"{where}outfit {oid}: duplicate item ids")
+    for iid in item_ids:
+        if iid not in items:
+            raise DatasetError(f"{where}outfit {oid}: references missing item {iid}")
 
 
 def _parse_id(token: str, path: str, lineno: int) -> int:
@@ -288,9 +293,8 @@ def load_dataset(
         oid = _parse_id(oid_s, str(outfits), lineno)
         if oid in outfit_map:
             raise DatasetError(f"{outfits}:{lineno}: duplicate outfit id {oid}")
-        member_ids = [
-            _parse_id(tok, str(outfits), lineno) for tok in items_s.split(",") if tok
-        ]
+        member_ids = [_parse_id(tok, str(outfits), lineno) for tok in items_s.split(",") if tok]
+        _check_outfit(oid, member_ids, item_map, f"{outfits}:{lineno}: ")
         outfit_map[oid] = member_ids
 
     inter: set[tuple[int, int]] = set()
@@ -298,6 +302,9 @@ def load_dataset(
     for lineno, (u_s, o_s) in _read_tsv(interactions, 2):
         u = _parse_id(u_s, str(interactions), lineno)
         o = _parse_id(o_s, str(interactions), lineno)
+        if o not in outfit_map:
+            raise DatasetError(
+                f"{interactions}:{lineno}: interaction ({u}, {o}): unknown outfit {o}")
         users.add(u)
         inter.add((u, o))
     if not inter:

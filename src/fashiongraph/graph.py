@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain
 
 import numpy as np
 
@@ -163,60 +163,56 @@ class FashionGraph:
 
 
 def category_cooccurrence_weights(ds: Dataset) -> CategoryGraph:
-    """Count category co-occurrence over outfits and normalize per row."""
-    if not any(len(m) >= 2 for m in ds.outfits.values()):
-        raise ValueError("need at least one outfit with >= 2 items")
-    co: dict[tuple[int, int], int] = {}
-    cat_counts: dict[int, int] = {}
-    for members in ds.outfits.values():
-        cats = [ds.items[i].category for i in members]
-        for c in set(cats):
-            cat_counts[c] = cat_counts.get(c, 0) + 1
-        # Ordered pairs of distinct positions: (c, c) only when c repeats.
-        for pair in set(permutations(cats, 2)):
-            co[pair] = co.get(pair, 0) + 1
-    # Each row sums its ratios in (c_i, c_j) order, not in the order the
-    # pairs were first met, so the weights do not follow set or dict order.
-    co = dict(sorted(co.items()))
-    totals: dict[int, float] = {}
-    for (c_i, c_j), n in co.items():
-        totals[c_i] = totals.get(c_i, 0.0) + n / cat_counts[c_j]
-    weights = {(c_i, c_j): n / cat_counts[c_j] / totals[c_i] for (c_i, c_j), n in co.items()}
-    return CategoryGraph(weights=weights, co_counts=co)
+    """The category graph of ``ds``, as ``build_fashion_graph`` builds it."""
+    return build_fashion_graph(ds).category_graph
 
 
-def build_item_item_edges(cg: CategoryGraph, item_categories: np.ndarray,
-                          item_outfit: LevelEdges) -> LevelEdges:
-    """The item-item level: directed co-outfit neighborhoods whose prior is
-    the category weight w(cat(target), cat(source)); ``item_categories``
-    holds each item row's category, and the members of each outfit are one
-    run of the ``item_outfit`` level's sources.
+def _distinct(codes: list[np.ndarray]) -> np.ndarray:
+    """The distinct codes (all >= 0), ascending.  NumPy 2's hash-based
+    np.unique is 20x slower here and imports numpy.ma (about 1 MB)."""
+    codes = np.sort(np.concatenate(codes))
+    return codes[np.diff(codes, prepend=-1) != 0]
 
-    An item's neighborhood is the union of its co-outfit items across every
-    outfit containing it; a pair co-occurring in several outfits yields one
-    edge.  Edges are sorted by (target, source) so summation order is fixed.
-    """
-    n = len(item_categories)
+
+def pair_tables(item_categories: np.ndarray,
+                item_outfit: LevelEdges) -> tuple[LevelEdges, CategoryGraph]:
+    """The item-item level and the category graph, both read off one
+    enumeration of each outfit's ordered member pairs; each outfit's members
+    are one run of the ``item_outfit`` level's sources.  A pair that several
+    outfits share is one edge, edges are sorted by (target, source), and
+    each one's prior is w(cat(target), cat(source)).  Raises ``ValueError``
+    unless some outfit holds two or more items."""
     rows, starts = item_outfit.src, item_outfit.by_tgt.starts
     sizes = np.diff(starts, append=len(rows))
-    # Each edge as the code tgt * n + src: rows lie below n, so a code fits
-    # in int64 for fewer than 3 * 10^9 items, and codes sort as (tgt, src).
-    codes = [np.empty(0, dtype=np.int64)]
+    if not (sizes >= 2).any():
+        raise ValueError("need at least one outfit with >= 2 items")
+    n, n_cat = len(item_categories), int(item_categories.max()) + 1
+    # Item pairs as codes tgt * n + src (int64 for fewer than 3 * 10^9
+    # items), category pairs as (outfit * C + c_tgt) * C + c_src.
+    item_codes, cat_codes = [], []
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
         # (outfits of this size, size): every ordered pair of distinct positions
-        grid = rows[starts[sizes == size, None] + np.arange(size)]
+        outfits = np.flatnonzero(sizes == size)
+        grid = rows[starts[outfits, None] + np.arange(size)]
         tgt_pos, src_pos = np.nonzero(~np.eye(size, dtype=bool))
-        codes.append((grid[:, tgt_pos] * n + grid[:, src_pos]).ravel())
-    # One code per run of the sorted codes (they are >= 0, so the first is
-    # kept).  NumPy 2's hash-based np.unique is 20x slower on the 24k codes of
-    # a 3,000-item graph, and its first call imports numpy.ma (about 1 MB).
-    codes = np.sort(np.concatenate(codes))
-    tgt, src = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n)
-    n_categories = int(item_categories.max()) + 1
-    table = np.zeros((n_categories, n_categories))
-    for pair, w in cg.weights.items():
-        table[pair] = w
-    return LevelEdges(tgt, src, n, prior=table[item_categories[tgt], item_categories[src]])
+        tgt, src = grid[:, tgt_pos], grid[:, src_pos]
+        item_codes.append((tgt * n + src).ravel())
+        cat_codes.append(((outfits[:, None] * n_cat + item_categories[tgt]) * n_cat
+                          + item_categories[src]).ravel())
+    tgt, src = np.divmod(_distinct(item_codes), n)
+    # co(c_i, c_j) from one code per outfit and pair, o(c) from one per outfit and category
+    co = np.bincount(_distinct(cat_codes) % n_cat**2, minlength=n_cat**2).reshape(n_cat, n_cat)
+    o = np.bincount(_distinct([item_outfit.tgt * n_cat + item_categories[rows]]) % n_cat,
+                    minlength=n_cat)
+    ratio = np.divide(co, o, out=np.zeros(co.shape), where=co > 0)
+    # Each row sums its ratios one by one in category order, not pairwise as np.sum does.
+    totals = np.cumsum(ratio, axis=1)[:, -1:]
+    table = np.divide(ratio, totals, out=np.zeros(co.shape), where=co > 0)
+    pairs = np.nonzero(co)
+    keys = list(zip(*(c.tolist() for c in pairs)))
+    cg = CategoryGraph(weights=dict(zip(keys, table[pairs].tolist())),
+                       co_counts=dict(zip(keys, co[pairs].tolist())))
+    return LevelEdges(tgt, src, n, prior=table[item_categories[tgt], item_categories[src]]), cg
 
 
 def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGraph:
@@ -254,17 +250,8 @@ def build_fashion_graph(ds: Dataset, splits: Splits | None = None) -> FashionGra
                               count=len(users))
     uo_tgt, uo_src = np.searchsorted(user_ids, users), np.searchsorted(outfit_ids, outfits)
     by_pair = np.lexsort((uo_src, uo_tgt))
-    cg = category_cooccurrence_weights(ds)
-    levels = {
-        "item_item": build_item_item_edges(cg, item_categories, item_outfit),
-        "item_outfit": item_outfit,
-        "outfit_user": LevelEdges(uo_tgt[by_pair], uo_src[by_pair], len(user_ids)),
-    }
-    return FashionGraph(
-        user_ids=user_ids,
-        outfit_ids=outfit_ids,
-        item_ids=item_ids,
-        category_graph=cg,
-        levels=levels,
-        item_categories=item_categories,
-    )
+    item_item, cg = pair_tables(item_categories, item_outfit)
+    levels = {"item_item": item_item, "item_outfit": item_outfit,
+              "outfit_user": LevelEdges(uo_tgt[by_pair], uo_src[by_pair], len(user_ids))}
+    return FashionGraph(user_ids=user_ids, outfit_ids=outfit_ids, item_ids=item_ids,
+                        category_graph=cg, levels=levels, item_categories=item_categories)

@@ -378,7 +378,9 @@ def train_epoch(
         loss, l_rec, l_comp = batch_loss(m, graph, ds, minibatch, cfg, mode="train", rng=rng)
         value = loss.item()
         if not np.isfinite(value):
-            norms = {name: float(np.linalg.norm(p.data)) for name, p in m.parameters()}
+            # in float64: a float32 norm overflows to inf long before its entries do
+            norms = {name: float(np.linalg.norm(p.data.astype(np.float64)))
+                     for name, p in m.parameters()}
             raise TrainingDivergedError(
                 f"non-finite loss {value} in epoch {epoch} batch {b}; "
                 f"parameter norms: {norms}"

@@ -1,4 +1,7 @@
+import ast
+import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -96,6 +99,11 @@ class TestConfig:
         p.write_bytes(b"seed=1\n# \xa3 sterling\n")
         assert main(["ingest", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {p}:2: not UTF-8: byte 0xa3")
+
+    def test_config_path_naming_a_directory_exits_one_naming_it(self, tmp_path, capsys):
+        assert main(["ingest", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: config path is a directory, not a file\n", err
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -215,6 +223,23 @@ class TestTrain:
         assert main(["train", "--config", str(pb), "--resume"]) == 0
         assert (out_a / "best.ckpt").read_bytes() == (out_b / "best.ckpt").read_bytes()
         assert (out_a / "last.ckpt").read_bytes() == (out_b / "last.ckpt").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_exits_two_naming_the_batch_with_finite_parameter_norms(
+            self, tmp_path, capsys):
+        # At this learning rate epoch 1 lifts float32 parameters past 1e30:
+        # finite entries whose float32 norms would overflow.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode=synthetic\nseed=7\nout_dir={tmp_path / 'out'}\nepochs=2\n"
+                       "dtype=float32\nlr=1e30\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"runtime error: non-finite loss \S+ in epoch 2 batch 0; "
+                             r"parameter norms: (\{.*\})\n", err)
+        assert found, err
+        norms = ast.literal_eval(found[1])
+        assert "user_table" in norms and all(math.isfinite(v) for v in norms.values()), norms
 
     def test_k_below_one_exits_one_before_training(self, tmp_path, capsys):
         path, out_dir = write_cfg(tmp_path, k=0)

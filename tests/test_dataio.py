@@ -105,6 +105,25 @@ class TestLoadAndValidate:
         err = capsys.readouterr().err
         assert f"{paths[kind]}:{lineno}: not an integer id: {token!r}" in err, err
 
+    @pytest.mark.parametrize("kind, line, message", [
+        ("outfits", "103\t4", "outfit 103: needs >= 2 items, has 1"),
+        ("outfits", "103\t0,999", "outfit 103: references missing item 999"),
+        ("outfits", "103\t2,4,2", "outfit 103: duplicate item ids"),
+        ("interactions", "11\t31000", "interaction (11, 31000): unknown outfit 31000"),
+    ])
+    def test_a_cross_file_error_exits_one_through_ingest_naming_its_file_and_line(
+        self, tmp_path, capsys, kind, line, message
+    ):
+        from fashiongraph.cli import main
+
+        paths = write_dataset(tiny_dataset(), tmp_path / "data")
+        with open(paths[kind], "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        lineno = len(paths[kind].read_text(encoding="utf-8").splitlines())
+        assert main(["ingest", "--config", str(files_config(tmp_path, paths))]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[kind]}:{lineno}: {message}\n", err
+
     def test_crlf_files_load_as_the_lf_files_do(self, tiny_ds, tmp_path):
         paths = write_dataset(tiny_ds, tmp_path)
         for kind in ("interactions", "outfits", "items"):

@@ -1,7 +1,7 @@
 """The weighted neighbour sum over in-degree groups: ``edge_sum`` against an
-``np.add.at`` reference on a level whose in-degrees span 1-40 beside empty
-targets, its central differences, the layout's invariants, when the layout
-is built, and the tape size of a training batch."""
+``np.add.at`` reference and by central differences, on a small level and on
+one whose in-degrees span 1-40 beside empty targets; the layout's
+invariants, when the layout is built, and the tape size of a training batch."""
 
 import math
 
@@ -16,6 +16,8 @@ from fashiongraph.graph import LevelEdges, build_fashion_graph
 from fashiongraph.propagate import forward
 from fashiongraph.rng import substream
 from fashiongraph.train import TrainConfig, batch_loss, make_model, sample_negatives
+
+from test_edge_ops import N_SRC as SMALL_N_SRC, N_TGT, SRC, TGT, TOLERANCES as SMALL_TOLERANCES
 
 N_SRC = 37
 
@@ -37,40 +39,54 @@ def ref_edge_sum(alpha, x, tgt, src, n_tgt):
     return out
 
 
-TOLERANCES = {np.float64: dict(rtol=1e-12, atol=1e-12), np.float32: dict(rtol=1e-5, atol=1e-5)}
+# Each fixture level as (tgt, src, n_tgt, n_src) and its tolerances: the
+# small level of ``test_edge_ops`` (in-degrees 3, 0, 1, 2, 0, 1) and the wide one.
+LEVELS = {
+    "small": ((TGT, SRC, N_TGT, SMALL_N_SRC), SMALL_TOLERANCES),
+    "wide": ((*wide_level(), N_SRC),
+             {np.float64: dict(rtol=1e-12, atol=1e-12), np.float32: dict(rtol=1e-5, atol=1e-5)}),
+}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_edge_sum_and_gradients_match_add_at(dtype):
-    tgt, src, n_tgt = wide_level()
+@pytest.mark.parametrize("name", LEVELS)
+def test_edge_sum_and_gradients_match_add_at(name, dtype):
+    (tgt, src, n_tgt, n_src), tolerances = LEVELS[name]
+    tol = tolerances[dtype]
     edges = LevelEdges(tgt, src, n_tgt)
     rng = np.random.default_rng(1)
-    alpha = Tensor(rng.random((4, len(tgt))).astype(dtype), requires_grad=True)
-    x = Tensor(rng.normal(size=(N_SRC, 6)).astype(dtype), requires_grad=True)
+    alpha = Tensor(rng.normal(size=(4, len(tgt))).astype(dtype), requires_grad=True)
+    x = Tensor(rng.normal(size=(n_src, 6)).astype(dtype), requires_grad=True)
     out = ad.edge_sum(alpha, x, edges)
     assert out.data.dtype == dtype
     a64, x64 = alpha.data.astype(np.float64), x.data.astype(np.float64)
-    np.testing.assert_allclose(out.data, ref_edge_sum(a64, x64, tgt, src, n_tgt),
-                               **TOLERANCES[dtype])
-    empty = np.setdiff1d(np.arange(n_tgt), tgt)
-    assert len(empty) == 5 and np.all(out.data[:, empty] == 0.0)
+    np.testing.assert_allclose(out.data, ref_edge_sum(a64, x64, tgt, src, n_tgt), **tol)
+    degree = np.bincount(tgt, minlength=n_tgt)
+    assert (degree == 0).sum() == {"small": 2, "wide": 5}[name]
+    assert np.all(out.data[:, degree == 0] == 0.0)  # empty targets are exactly zero
+    # a single-edge target is its weighted source, exactly
+    single = np.flatnonzero(degree[tgt] == 1)
+    assert len(single) and np.array_equal(out.data[:, tgt[single]],
+                                          alpha.data[:, single, None] * x.data[src[single]])
 
     g = rng.normal(size=out.shape).astype(dtype)
     out.backward(g)
     g_edges = g.astype(np.float64)[:, tgt]  # (heads, n_edges, d)
     assert alpha.grad.dtype == dtype and x.grad.dtype == dtype
-    np.testing.assert_allclose(alpha.grad, np.einsum("hed,ed->he", g_edges, x64[src]),
-                               **TOLERANCES[dtype])
+    np.testing.assert_allclose(alpha.grad, np.einsum("hed,ed->he", g_edges, x64[src]), **tol)
     expected_gx = np.zeros_like(x64)
     np.add.at(expected_gx, src, np.einsum("he,hed->ed", a64, g_edges))
-    np.testing.assert_allclose(x.grad, expected_gx, **TOLERANCES[dtype])
+    np.testing.assert_allclose(x.grad, expected_gx, **tol)
 
 
-def test_edge_sum_central_differences():
-    tgt, src, n_tgt = wide_level(seed=2)
+@pytest.mark.parametrize("name, sampled", [("small", None), ("wide", 150)])
+def test_edge_sum_central_differences(name, sampled):
+    # Every entry of both arrays, or ``sampled`` entries of the weights and
+    # every entry of the sources.
+    (tgt, src, n_tgt, n_src), _ = LEVELS[name]
     edges = LevelEdges(tgt, src, n_tgt)
     rng = np.random.default_rng(3)
-    arrays = [rng.random((2, len(tgt))), rng.normal(size=(N_SRC, 3))]
+    arrays = [rng.normal(size=(2, len(tgt))), rng.normal(size=(n_src, 3))]
     weights = rng.normal(size=(2, n_tgt, 3))
 
     def value():
@@ -80,8 +96,9 @@ def test_edge_sum_central_differences():
 
     alpha, x = (Tensor(a, requires_grad=True) for a in arrays)
     ad.sum_(ad.edge_sum(alpha, x, edges) * weights).backward()
-    checked = [(0, np.unravel_index(k, arrays[0].shape))
-               for k in rng.choice(arrays[0].size, 150, replace=False)]
+    checked = [(0, k) for k in np.ndindex(arrays[0].shape)]
+    if sampled is not None:
+        checked = [checked[k] for k in rng.choice(len(checked), sampled, replace=False)]
     checked += [(1, k) for k in np.ndindex(arrays[1].shape)]
     eps = 1e-6
     for which, k in checked:

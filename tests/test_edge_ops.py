@@ -1,7 +1,9 @@
-"""The sorted-segment kernels and the weighted neighbour sum against
-``np.add.at``/``np.maximum.at`` references; the per-level edge structures;
-run-to-run byte identity of training; the rec-negative sampler against an
-``np.isin`` reference; and the feature-file checks at the CLI boundary."""
+"""The sorted-segment kernels against ``np.add.at``/``np.maximum.at``
+references; which inputs of the weighted neighbour sum get a gradient (its
+values and gradients are tested in ``test_edge_groups``); the per-level edge
+structures; run-to-run byte identity of training; the rec-negative sampler
+against an ``np.isin`` reference; and the feature-file checks at the CLI
+boundary."""
 
 import warnings
 
@@ -48,12 +50,6 @@ def ref_scatter(ufunc, values, idx, n, axis, fill):
     shape[axis] = n
     out = np.full(shape, fill, dtype=values.dtype)
     ufunc.at(np.moveaxis(out, axis, 0), idx, np.moveaxis(values, axis, 0))
-    return out
-
-
-def ref_edge_sum(alpha, x, tgt, src, n_tgt):
-    out = np.zeros((alpha.shape[0], n_tgt, x.shape[1]), dtype=x.dtype)
-    np.add.at(out.transpose(1, 0, 2), tgt, (alpha[:, :, None] * x[src]).transpose(1, 0, 2))
     return out
 
 
@@ -122,53 +118,6 @@ def test_segments_order_is_the_int64_stable_argsort(top):
     assert np.array_equal(Segments(negative).order, np.argsort(negative, kind="stable"))
     empty = Segments(np.zeros(0, dtype=np.int64))
     assert empty.order is None and len(empty.starts) == 0
-
-
-@DTYPES
-def test_edge_sum_forward_and_backward_match_add_at(dtype):
-    rng = np.random.default_rng(3)
-    edges = LevelEdges(TGT, SRC, N_TGT)
-    alpha = Tensor(normal(rng, (4, len(TGT)), dtype), requires_grad=True)
-    x = Tensor(normal(rng, (N_SRC, 5), dtype), requires_grad=True)
-    out = ad.edge_sum(alpha, x, edges)
-    tol = TOLERANCES[dtype]
-    np.testing.assert_allclose(out.data, ref_edge_sum(alpha.data, x.data, TGT, SRC, N_TGT), **tol)
-    assert np.all(out.data[:, [1, 4]] == 0.0)  # empty targets are exactly zero
-    # a single-edge target is its weighted source, exactly
-    assert np.array_equal(out.data[:, 2], alpha.data[:, 3, None] * x.data[SRC[3]])
-
-    g = normal(rng, out.shape, dtype)
-    out.backward(g)
-    g_edges = g[:, TGT]  # (heads, n_edges, d)
-    np.testing.assert_allclose(alpha.grad, np.einsum("hed,ed->he", g_edges, x.data[SRC]), **tol)
-    expected_gx = np.zeros_like(x.data)
-    np.add.at(expected_gx, SRC, np.einsum("he,hed->ed", alpha.data, g_edges))
-    np.testing.assert_allclose(x.grad, expected_gx, **tol)
-
-
-def test_edge_sum_central_differences():
-    rng = np.random.default_rng(4)
-    edges = LevelEdges(TGT, SRC, N_TGT)
-    arrays = [rng.normal(size=(3, len(TGT))), rng.normal(size=(N_SRC, 4))]
-    weights = rng.normal(size=(3, N_TGT, 4))
-
-    def value():
-        with ad.no_grad():
-            return float((ad.edge_sum(Tensor(arrays[0]), Tensor(arrays[1]), edges).data
-                          * weights).sum())
-
-    alpha, x = (Tensor(a, requires_grad=True) for a in arrays)
-    ad.sum_(ad.edge_sum(alpha, x, edges) * weights).backward()
-    eps = 1e-6
-    for array, analytic in zip(arrays, (alpha.grad, x.grad)):
-        for k in np.ndindex(array.shape):
-            orig = array[k]
-            array[k] = orig + eps
-            plus = value()
-            array[k] = orig - eps
-            minus = value()
-            array[k] = orig
-            assert abs((plus - minus) / (2 * eps) - analytic[k]) < 1e-6
 
 
 def test_edge_sum_grad_only_where_required():

@@ -8,11 +8,7 @@ from fashiongraph.dataio import (
     generate_synthetic,
     split_interactions,
 )
-from fashiongraph.graph import (
-    build_fashion_graph,
-    build_item_item_edges,
-    category_cooccurrence_weights,
-)
+from fashiongraph.graph import build_fashion_graph, category_cooccurrence_weights, pair_tables
 
 from conftest import make_item, tiny_dataset
 
@@ -295,15 +291,6 @@ class TestItemSubgraph:
         sub = outfit_subgraph(ds, 0)
         assert sub[(0, 1)] == sub[(1, 0)] == cg.weight(shirt, shirt) > 0
 
-    def test_weights_are_pure_lookup(self, tiny_ds):
-        cg1 = category_cooccurrence_weights(tiny_ds)
-        cg2 = category_cooccurrence_weights(tiny_ds)
-        graph = build_fashion_graph(tiny_ds)
-        first = build_item_item_edges(cg1, graph.item_categories, graph.levels["item_outfit"])
-        second = build_item_item_edges(cg2, graph.item_categories, graph.levels["item_outfit"])
-        assert np.array_equal(first.tgt, second.tgt) and np.array_equal(first.src, second.src)
-        assert np.array_equal(first.prior, second.prior)
-
     def test_pair_in_one_outfit_has_positive_weight(self):
         # categories co-occurring only inside this outfit still get weight:
         # the corpus count includes the outfit itself.
@@ -354,32 +341,45 @@ def nested_loop_tables(ds):
     weights = {}
     for a in range(n):
         row = {b: co[(a, b)] / o[b] for b in range(n) if (a, b) in co}
-        weights.update({(a, b): r / sum(row.values()) for b, r in row.items()})
-    ids = sorted(ds.items)
-    edges = [
-        (t, s, weights.get((ds.items[i].category, ds.items[j].category), 0.0))
-        for t, i in enumerate(ids)
-        for s, j in enumerate(ids)
-        if i != j and any(i in members and j in members for members in ds.outfits.values())
-    ]
+        total = 0.0  # one ratio after another, in category order
+        for r in row.values():
+            total += r
+        weights.update({(a, b): r / total for b, r in row.items()})
+    row_of = {i: r for r, i in enumerate(sorted(ds.items))}
+    pairs = sorted({(row_of[i], row_of[j]) for members in ds.outfits.values()
+                    for i in members for j in members if i != j})
+    category = {r: ds.items[i].category for i, r in row_of.items()}
+    edges = [(t, s, weights.get((category[t], category[s]), 0.0)) for t, s in pairs]
     return co, weights, edges
 
 
-def test_pair_tables_match_nested_loop_reference(tiny_ds):
-    datasets = [*random_corpora(), tiny_ds, generate_synthetic(SyntheticConfig(), seed=7)]
-    for ds in datasets:
+PAIR_TABLE_INPUTS = {
+    "corpora": lambda: list(random_corpora()),
+    "tiny": lambda: [tiny_dataset()],
+    "default-7": lambda: [generate_synthetic(SyntheticConfig(), seed=7)],
+    # Rows of 13 ratios: np.sum would add them pairwise, in another order.
+    "13-categories": lambda: [generate_synthetic(SyntheticConfig(
+        n_categories=13, items_per_outfit=9), seed=0)],
+    **{f"random-{seed}": lambda seed=seed: [random_dataset(seed, base) for base in (0, 2**63)]
+       for seed in range(8)},
+    "mid-1": lambda: [generate_synthetic(SyntheticConfig(
+        n_users=500, n_outfits=2000, n_items=3000, d_v=2, d_t=2), seed=1)],
+}
+
+
+@pytest.mark.parametrize("name", PAIR_TABLE_INPUTS)
+def test_pair_tables_match_nested_loop_reference(name):
+    # Exact: the weights sum each row in category order, and every edge's
+    # prior is the weight of its category pair, looked up.
+    for ds in PAIR_TABLE_INPUTS[name]():
         co, weights, edges = nested_loop_tables(ds)
-        cg = category_cooccurrence_weights(ds)
-        assert cg.co_counts == co
-        assert cg.weights.keys() == weights.keys()
-        for pair, w in weights.items():
-            assert cg.weights[pair] == pytest.approx(w, rel=1e-12, abs=0.0)
         graph = build_fashion_graph(ds)
-        item_edges = build_item_item_edges(cg, graph.item_categories,
-                                           graph.levels["item_outfit"])
-        np.testing.assert_array_equal(item_edges.tgt, [t for t, _, _ in edges])
-        np.testing.assert_array_equal(item_edges.src, [s for _, s, _ in edges])
-        np.testing.assert_allclose(item_edges.prior, [w for _, _, w in edges], rtol=1e-12)
+        cg, level = graph.category_graph, graph.item_edges
+        assert list(cg.co_counts.items()) == list(co.items())  # key order too
+        assert list(cg.weights.items()) == list(weights.items())
+        np.testing.assert_array_equal(level.tgt, [t for t, _, _ in edges])
+        np.testing.assert_array_equal(level.src, [s for _, s, _ in edges])
+        np.testing.assert_array_equal(level.prior, [w for _, _, w in edges])
 
 
 def random_dataset(seed: int, base: int) -> Dataset:
@@ -476,8 +476,7 @@ def test_item_item_edges_of_one_two_item_outfit():
     ds = Dataset(users=[0], outfits={3: [base + 9, base + 4]}, items=items,
                  interactions=frozenset({(0, 3)}), categories=["a", "b"])
     graph = build_fashion_graph(ds)
-    edges = build_item_item_edges(category_cooccurrence_weights(ds), graph.item_categories,
-                                  graph.levels["item_outfit"])
+    edges, _ = pair_tables(graph.item_categories, graph.levels["item_outfit"])
     assert edges.tgt.tolist() == [0, 2] and edges.src.tolist() == [2, 0]
     assert edges.prior.tolist() == [1.0, 1.0] and edges.n_tgt == 3
 
@@ -490,3 +489,10 @@ def test_a_hand_built_dataset_with_a_dangling_item_is_refused():
         build_fashion_graph(bad)
     with pytest.raises(DatasetError, match="missing item 99"):  # a refusal is not kept
         build_fashion_graph(bad)
+
+
+def test_a_dataset_without_outfits_is_refused():
+    ds = Dataset(users=[0], outfits={}, items={0: make_item(0, seed=0)},
+                 interactions=frozenset(), categories=["a"])
+    with pytest.raises(ValueError, match="need at least one outfit with >= 2 items"):
+        build_fashion_graph(ds)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fashiongraph.autodiff as ad
+import fashiongraph.score as score_module
 from fashiongraph.autodiff import Tensor
 from fashiongraph.dataio import SyntheticConfig, generate_synthetic, split_interactions
 from fashiongraph.embed import ModelDims, init_model
@@ -303,6 +304,37 @@ class TestPerItemKernel:
             rview_scores_tensor(self.m, h, np.array([1, 2]), np.array([1]))
         with pytest.raises(ValueError):
             rview_scores_tensor(self.m, h, np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_softmaxes_of_logits_a_thousand_apart_are_finite_and_sum_to_one(dtype, monkeypatch):
+    # exp(1e3) overflows and exp(-1e3) underflows in both dtypes, so only the
+    # shift by each group's maximum keeps the weights finite and summing to 1.
+    # Groups (items of one list): [0, 1], [2, 3, 4] all near -1e3, and [5].
+    logits = np.array([[1e3, -1e3, -1e3, 1 - 1e3, -1e3, 1e3],
+                       [-1e3, 1e3, -1e3, -1e3, -1e3, -1e3],
+                       [1e3, 1e3, 1e3, -1e3, 1e3, 5.0]], dtype=dtype)  # (views, items)
+    fits = np.random.default_rng(0).uniform(-1, 1, size=logits.shape).astype(dtype)
+    groups, lengths = np.array([0, 0, 1, 1, 1, 2]), np.array([2, 3, 1])
+
+    L = Tensor(logits, requires_grad=True)
+    A = ad.segment_softmax(L, groups, 3, axis=1)
+    assert A.data.dtype == dtype and np.isfinite(A.data).all()
+    np.testing.assert_allclose(np.add.reduceat(A.data, [0, 2, 5], axis=1), 1.0, rtol=1e-6)
+    ad.sum_(A * Tensor(fits)).backward()
+    assert np.isfinite(L.grad).all()
+
+    m = init_model(2, 2, 2, DIMS, seed=0, dtype=dtype)
+    for fit in (np.ones_like(fits), fits):
+        L = Tensor(logits, requires_grad=True)
+        monkeypatch.setattr(score_module, "view_maps", lambda m, h, L=L, C=Tensor(fit): (L, C))
+        h = Tensor(np.zeros((6, DIMS.d), dtype))  # read only through the patched view_maps
+        scores = rview_scores_tensor(m, h, np.arange(6), lengths)
+        assert scores.data.dtype == dtype and np.isfinite(scores.data).all()
+        if fit is not fits:  # a fit of 1 scores each view's weight sum
+            np.testing.assert_allclose(scores.data, 1.0, rtol=1e-6)
+        ad.sum_(scores).backward()
+        assert np.isfinite(L.grad).all()
 
 
 def test_order_candidates_shift_invariance():
